@@ -36,6 +36,7 @@ from .errors import (
     NegativeWeight,
     NoConvergence,
     NonPositiveAlpha,
+    NonPositiveCount,
     PrivmaskError,
     SingularBlock,
     UnstableClosedLoop,
@@ -79,6 +80,7 @@ from .rates import (
 from .riccati import (
     RiccatiSolution,
     SecondMoment,
+    gain_schedule,
     iterate_prediction_covariance,
     kalman_gain,
     prediction_covariances,
@@ -90,6 +92,7 @@ from .simulation import (
     empirical_cost,
     empirical_prediction_error,
     simulate,
+    simulate_moments,
     write_trajectories_csv,
 )
 
@@ -99,7 +102,7 @@ __all__ = [
     "SystemParams", "MaskParams", "Nnr", "StabilityCheck", "nnr_of",
     "closed_loop_stable",
     "RiccatiSolution", "SecondMoment", "solve_are", "kalman_gain",
-    "prediction_covariances", "iterate_prediction_covariance",
+    "prediction_covariances", "gain_schedule", "iterate_prediction_covariance",
     "steady_state_second_moment",
     "PrivacyRates", "CostRate", "FiniteHorizonInfo", "uplink_rate",
     "downlink_rate", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
@@ -108,7 +111,7 @@ __all__ = [
     "finite_horizon_info",
     "JointCovariance", "DirectedInformation", "ConsistencyCheck",
     "joint_covariance", "exact_mi", "exact_directed_info", "consistency_report",
-    "TrajectoryBatch", "simulate", "empirical_cost",
+    "TrajectoryBatch", "simulate", "simulate_moments", "empirical_cost",
     "empirical_prediction_error", "write_trajectories_csv",
     "DesignReport", "TradeoffPoint", "RobustnessGrid", "MaskDiagnosis",
     "quartic_coefficients", "optimal_nnr", "min_privacy_rate", "masks_from_nnr",
@@ -117,5 +120,5 @@ __all__ = [
     "IllDefinedNnr", "ZeroUplink", "NegativeInput", "DegenerateAll",
     "NoConvergence", "UnstableClosedLoop", "DegenerateMasks", "HorizonTooLarge",
     "HorizonTooShort", "SingularBlock", "NonPositiveAlpha", "ZeroProcessNoise",
-    "EmptyInput",
+    "EmptyInput", "NonPositiveCount",
 ]

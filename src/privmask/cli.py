@@ -29,12 +29,12 @@ from .design import (
     optimal_nnr,
     tradeoff_curve,
 )
-from .errors import PrivmaskError, UnstableClosedLoop
+from .errors import NonPositiveCount, PrivmaskError, UnstableClosedLoop
 from .oracle import CHECK_TOL, consistency_report
 from .params import MaskParams, SystemParams, closed_loop_stable
 from .rates import mi_rate, mi_rate_from_nnr, mi_rate_from_nnr_alt
 from .riccati import solve_are
-from .simulation import empirical_cost, empirical_prediction_error, simulate
+from .simulation import simulate_moments
 
 LN2 = math.log(2.0)
 
@@ -65,7 +65,6 @@ class RunConfig:
     horizon: int | None
     trajectories: int
     seed: int
-    workers: int
     m_range: tuple
     n_range: tuple
     alpha_range: tuple
@@ -115,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--T", dest="horizon", type=int, help="horizon / number of steps")
     g.add_argument("--trajectories", type=int, help="Monte Carlo trajectory count")
     g.add_argument("--seed", type=int, help="random seed")
-    g.add_argument("--workers", type=int, help="trajectory worker count (results identical)")
+    g.add_argument("--workers", type=int,
+                   help="accepted for compatibility, must be >= 1; has no effect")
     g.add_argument("--m-range", dest="m_range", type=str, help="lo:hi:count (linear)")
     g.add_argument("--n-range", dest="n_range", type=str, help="lo:hi:count (linear)")
     g.add_argument("--alpha-range", dest="alpha_range", type=str, help="lo:hi:count (log-spaced)")
@@ -169,6 +169,11 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         lambdas = list(_DEFAULTS["lambda"])
 
     horizon = pick(args.horizon, "T", _T_DEFAULTS.get(args.command))
+    # --workers has no effect; it stays accepted for existing scripts, and a
+    # count below 1 is refused
+    workers = int(pick(args.workers, "workers", _DEFAULTS["workers"]))
+    if workers < 1:
+        raise NonPositiveCount(f"--workers must be >= 1, got {workers}")
     return RunConfig(
         command=args.command,
         a=float(a),
@@ -183,7 +188,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         horizon=None if horizon is None else int(horizon),
         trajectories=int(pick(args.trajectories, "trajectories", _DEFAULTS["trajectories"])),
         seed=int(pick(args.seed, "seed", _DEFAULTS["seed"])),
-        workers=int(pick(args.workers, "workers", _DEFAULTS["workers"])),
         m_range=_parse_range(pick(args.m_range, "m_range", _DEFAULTS["m_range"]), "m-range"),
         n_range=_parse_range(pick(args.n_range, "n_range", _DEFAULTS["n_range"]), "n-range"),
         alpha_range=_parse_range(pick(args.alpha_range, "alpha_range", _DEFAULTS["alpha_range"]),
@@ -381,10 +385,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise UnstableClosedLoop(f"|a+k| = {abs(cfg.a + cfg.k)} >= 1")
     from .rates import control_cost_rate
 
-    batch = simulate(sysp, masks, cfg.horizon, cfg.trajectories, cfg.seed,
-                     workers=cfg.workers)
-    cost, cost_se = empirical_cost(batch, cfg.q, cfg.r)
-    sigma, sigma_se = empirical_prediction_error(batch)
+    (cost, cost_se), (sigma, sigma_se) = simulate_moments(
+        sysp, masks, cfg.horizon, cfg.trajectories, cfg.seed, cfg.q, cfg.r)
     cf_cost = control_cost_rate(sysp, masks).cost
     cf_sigma = solve_are(cfg.a, cfg.m + cfg.w, cfg.n)
     ok = abs(cost - cf_cost) <= 3 * cost_se and abs(sigma - cf_sigma) <= 3 * sigma_se

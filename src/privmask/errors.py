@@ -72,3 +72,7 @@ class ZeroProcessNoise(PrivmaskError):
 
 class EmptyInput(PrivmaskError):
     """An input collection that must be nonempty is empty."""
+
+
+class NonPositiveCount(PrivmaskError):
+    """A count (trajectories, workers) must be at least 1."""

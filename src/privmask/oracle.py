@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DegenerateMasks, HorizonTooLarge, SingularBlock
 from .params import MaskParams, SystemParams
 from .rates import finite_horizon_info
-from .riccati import prediction_covariances
+from .riccati import gain_schedule
 
 JOINT_HORIZON_CAP = 64
 DIRECTED_HORIZON_CAP = 32
@@ -101,9 +101,7 @@ class _SignalSpace:
         self.var = np.concatenate(
             [np.full(T + 1, masks.n), np.full(T, masks.m), np.full(T, sys.w)]
         )
-        gains_s = prediction_covariances(sys.a, masks.m + sys.w, masks.n, T) if T else np.empty(0)
-        with np.errstate(invalid="ignore"):
-            gains = np.where(gains_s + masks.n > 0, gains_s / (gains_s + masks.n), 0.0)
+        _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, T)
 
         x = np.zeros((T + 1, nb))
         y = np.zeros((T + 1, nb))

@@ -109,6 +109,17 @@ def prediction_covariances(a: float, p: float, n: float, horizon: int) -> np.nda
     return out
 
 
+def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
+    """Prediction variances S_t and filter gains S_t/(S_t + n), t = 1..horizon.
+
+    The gain is 0 where S_t + n = 0: with no noise at all there is nothing
+    to correct.
+    """
+    s = prediction_covariances(a, p, n, horizon)
+    with np.errstate(invalid="ignore"):
+        return s, np.where(s + n > 0, s / (s + n), 0.0)
+
+
 def iterate_prediction_covariance(
     a: float,
     p: float,

@@ -3,29 +3,37 @@
 Noise generation is counter-based: every draw is a pure function of
 ``(seed, trajectory index, time index, channel)``, realized as one Philox
 stream per trajectory read in a fixed layout and mapped through the inverse
-normal CDF.  Batches are therefore bit-reproducible for a given
-``(seed, horizon, n_trajectories)`` no matter how trajectories are chunked
-across workers.
+normal CDF.  A Philox stream can be read in pieces without changing it, so
+the closed loop runs time-major in blocks of ``BLOCK_STEPS`` steps: only one
+block of noise and signals is in memory at a time.  ``simulate`` copies the
+blocks into a full ``TrajectoryBatch``; ``simulate_moments`` reduces them as
+they finish.  Both are bit-reproducible for a given
+``(seed, horizon, n_trajectories)``.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import HorizonTooShort, UnstableClosedLoop
+from .errors import HorizonTooShort, NonPositiveCount, UnstableClosedLoop
 from .params import MaskParams, SystemParams, closed_loop_stable
-from .riccati import prediction_covariances
+from .riccati import gain_schedule
 
 DEFAULT_BURN_IN = 1000
 
+# time steps per block: bounds the working set at ~12 arrays of
+# BLOCK_STEPS x n_trajectories float64, whatever the horizon
+BLOCK_STEPS = 4096
+
 # fixed channel layout inside each trajectory's raw stream: slot 3*t + channel
 _CH_W, _CH_N, _CH_M = 0, 1, 2
+
+SIGNALS = ("x", "n", "y", "u", "m", "v", "w", "xhat_pred", "xhat")
 
 CSV_HEADER = "traj,t,x,n,y,u,m,v,w,xhat_pred,xhat,s_pred,gain"
 
@@ -60,48 +68,65 @@ class TrajectoryBatch:
     gain: np.ndarray
 
 
-def _draw_noise(seed: int, traj_indices: np.ndarray, horizon: int) -> tuple:
-    """Per-trajectory (W, N, M) standard-normal tables, counter-derived."""
-    cols = 3 * (horizon + 1)
-    raw = np.empty((len(traj_indices), cols), dtype=np.uint64)
-    for row, traj in enumerate(traj_indices):
-        key = np.array([np.uint64(seed), np.uint64(traj)], dtype=np.uint64)
-        raw[row] = Philox(key=key).random_raw(cols)
-    # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
-    z = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
-    return z[:, _CH_W::3], z[:, _CH_N::3], z[:, _CH_M::3]
+def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
+            n_trajectories: int, seed: int, gains: np.ndarray):
+    """Yield ``(t0, block)`` for consecutive time blocks of the closed loop.
+
+    ``block`` maps each name in ``SIGNALS`` to a ``(steps, n_trajectories)``
+    array holding times ``t0 .. t0+steps-1``; ``gains[t-1]`` is the filter
+    gain applied at time ``t``.  Every step does the same arithmetic, in the
+    same order, as a full-horizon recursion, so the split into blocks never
+    changes a bit.
+    """
+    streams = [Philox(key=np.array([np.uint64(seed), np.uint64(traj)], dtype=np.uint64))
+               for traj in range(n_trajectories)]
+    a, k = sys.a, sys.k
+    x = v = u = xh = None  # state carried across block boundaries
+    for t0 in range(0, horizon + 1, BLOCK_STEPS):
+        steps = min(BLOCK_STEPS, horizon + 1 - t0)
+        raw = np.stack([stream.random_raw(3 * steps) for stream in streams], axis=1)
+        # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
+        z = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+        z = z.reshape(steps, 3, n_trajectories)
+        W = np.sqrt(sys.w) * z[:, _CH_W]
+        N = np.sqrt(masks.n) * z[:, _CH_N]
+        M = np.sqrt(masks.m) * z[:, _CH_M]
+        del raw, z
+        X, Y, U, V, XhP, Xh = (np.empty_like(W) for _ in range(6))
+        first = 0
+        if t0 == 0:
+            W[0] = 0.0  # no process noise acts before t = 1
+            X[0] = XhP[0] = Xh[0] = 0.0  # X_0 = 0 is known to the filter
+            Y[0] = N[0]
+            U[0] = k * Y[0]
+            V[0] = U[0] + M[0]
+            x, v, u, xh = X[0], V[0], U[0], Xh[0]
+            first = 1
+        for j in range(first, steps):
+            xt, yt, ut, vt, pred, xht = X[j], Y[j], U[j], V[j], XhP[j], Xh[j]
+            np.multiply(a, x, out=xt)
+            xt += v
+            xt += W[j]
+            np.add(xt, N[j], out=yt)
+            np.multiply(k, yt, out=ut)
+            np.add(ut, M[j], out=vt)
+            np.multiply(a, xh, out=pred)
+            pred += u
+            np.subtract(yt, pred, out=xht)
+            xht *= gains[t0 + j - 1]
+            xht += pred
+            x, v, u, xh = xt, vt, ut, xht
+        # copies, so the carry does not keep this block's arrays alive
+        x, v, u, xh = x.copy(), v.copy(), u.copy(), xh.copy()
+        yield t0, {"x": X, "n": N, "y": Y, "u": U, "m": M, "v": V, "w": W,
+                   "xhat_pred": XhP, "xhat": Xh}
 
 
-def _run_chunk(sys: SystemParams, masks: MaskParams, horizon: int, seed: int,
-               traj_indices: np.ndarray, s_pred: np.ndarray, gain: np.ndarray) -> dict:
-    zw, zn, zm = _draw_noise(seed, traj_indices, horizon)
-    W = np.sqrt(sys.w) * zw
-    N = np.sqrt(masks.n) * zn
-    M = np.sqrt(masks.m) * zm
-    W[:, 0] = 0.0  # no process noise acts before t = 1
-
-    shape = (len(traj_indices), horizon + 1)
-    X = np.zeros(shape)
-    Y = np.zeros(shape)
-    U = np.zeros(shape)
-    V = np.zeros(shape)
-    XhP = np.zeros(shape)
-    Xh = np.zeros(shape)
-    Y[:, 0] = N[:, 0]  # X_0 = 0
-    U[:, 0] = sys.k * Y[:, 0]
-    V[:, 0] = U[:, 0] + M[:, 0]
-    for t in range(1, horizon + 1):
-        xt = sys.a * X[:, t - 1] + V[:, t - 1] + W[:, t]
-        X[:, t] = xt
-        yt = xt + N[:, t]
-        Y[:, t] = yt
-        U[:, t] = sys.k * yt
-        V[:, t] = U[:, t] + M[:, t]
-        pred = sys.a * Xh[:, t - 1] + U[:, t - 1]
-        XhP[:, t] = pred
-        Xh[:, t] = pred + gain[t] * (yt - pred)
-    return {"x": X, "n": N, "y": Y, "u": U, "m": M, "v": V, "w": W,
-            "xhat_pred": XhP, "xhat": Xh}
+def _check_sizes(horizon: int, n_trajectories: int) -> None:
+    if horizon < 1:
+        raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
+    if n_trajectories < 1:
+        raise NonPositiveCount(f"n_trajectories must be >= 1, got {n_trajectories}")
 
 
 def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
@@ -109,44 +134,57 @@ def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
     """Simulate the closed loop and the cloud's filter along with it.
 
     The result is bit-identical for a fixed ``(seed, horizon,
-    n_trajectories)`` regardless of ``workers``: each trajectory owns an
-    independent noise stream and the recursion never couples trajectories.
+    n_trajectories)``: each trajectory owns an independent noise stream and
+    the recursion never couples trajectories.  ``workers`` is accepted for
+    compatibility and ignored; results never depended on it.
     """
-    if horizon < 1:
-        raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
-    if n_trajectories < 1:
-        raise ValueError(f"n_trajectories must be >= 1, got {n_trajectories}")
-
-    s_seq = prediction_covariances(sys.a, masks.m + sys.w, masks.n, horizon)
-    s_pred = np.concatenate([[0.0], s_seq])
-    with np.errstate(invalid="ignore"):
-        gain = np.where(s_pred + masks.n > 0, s_pred / (s_pred + masks.n), 0.0)
-    gain[0] = 0.0
-
-    all_idx = np.arange(n_trajectories)
-    chunks = np.array_split(all_idx, max(1, min(workers, n_trajectories)))
-    if len(chunks) == 1:
-        results = [_run_chunk(sys, masks, horizon, seed, chunks[0], s_pred, gain)]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(
-                lambda idx: _run_chunk(sys, masks, horizon, seed, idx, s_pred, gain), chunks))
-
-    merged = {key: np.concatenate([r[key] for r in results], axis=0) for key in results[0]}
+    _check_sizes(horizon, n_trajectories)
+    s_seq, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
+    full = {name: np.empty((n_trajectories, horizon + 1)) for name in SIGNALS}
+    for t0, block in _blocks(sys, masks, horizon, n_trajectories, seed, gains):
+        for name, rows in block.items():
+            full[name][:, t0:t0 + len(rows)] = rows.T
     return TrajectoryBatch(
         sys=sys, masks=masks, horizon=horizon, n_trajectories=n_trajectories,
-        seed=seed, s_pred=s_pred, gain=gain, **merged,
+        seed=seed, s_pred=np.concatenate([[0.0], s_seq]),
+        gain=np.concatenate([[0.0], gains]), **full,
     )
 
 
-def _check_moment_preconditions(batch: TrajectoryBatch, burn_in: int) -> None:
-    if batch.horizon <= burn_in:
+def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
+                     n_trajectories: int, seed: int, q: float, r: float,
+                     burn_in: int = DEFAULT_BURN_IN) -> tuple:
+    """Streaming ``(empirical_cost, empirical_prediction_error)`` of a simulation.
+
+    Returns ``((cost, cost_se), (sigma, sigma_se))`` for the same paths that
+    ``simulate`` with these arguments produces, without ever holding the full
+    batch: memory grows with ``n_trajectories * BLOCK_STEPS``, and the only
+    allocation that grows with the horizon is the shared gain schedule.  The
+    per-trajectory sums run in another order than the full-batch
+    estimators, so results agree with them to rounding, not bit for bit.
+    """
+    _check_sizes(horizon, n_trajectories)
+    _check_moment_preconditions(sys, horizon, burn_in)
+    _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
+    cost_sum = np.zeros(n_trajectories)
+    err_sum = np.zeros(n_trajectories)
+    for t0, block in _blocks(sys, masks, horizon, n_trajectories, seed, gains):
+        lo = max(burn_in + 1 - t0, 0)  # first row with t > burn_in
+        x, u, pred = block["x"][lo:], block["u"][lo:], block["xhat_pred"][lo:]
+        cost_sum += (q * x ** 2 + r * u ** 2).sum(axis=0)
+        err_sum += ((x - pred) ** 2).sum(axis=0)
+    count = horizon - burn_in
+    return _mean_stderr(cost_sum / count), _mean_stderr(err_sum / count)
+
+
+def _check_moment_preconditions(sys: SystemParams, horizon: int, burn_in: int) -> None:
+    if horizon <= burn_in:
         raise HorizonTooShort(
-            f"horizon {batch.horizon} must exceed the burn-in of {burn_in} steps")
-    if not closed_loop_stable(batch.sys).stable:
+            f"horizon {horizon} must exceed the burn-in of {burn_in} steps")
+    if not closed_loop_stable(sys).stable:
         raise UnstableClosedLoop(
             "moment estimators refuse unstable closed loops "
-            f"(|a+k| = {abs(batch.sys.a + batch.sys.k)})")
+            f"(|a+k| = {abs(sys.a + sys.k)})")
 
 
 def empirical_cost(batch: TrajectoryBatch, q: float, r: float,
@@ -157,7 +195,7 @@ def empirical_cost(batch: TrajectoryBatch, q: float, r: float,
     error is taken across trajectory means, which sidesteps the
     within-trajectory autocorrelation.
     """
-    _check_moment_preconditions(batch, burn_in)
+    _check_moment_preconditions(batch.sys, batch.horizon, burn_in)
     sl = slice(burn_in + 1, None)
     per_traj = (q * batch.x[:, sl] ** 2 + r * batch.u[:, sl] ** 2).mean(axis=1)
     return _mean_stderr(per_traj)
@@ -171,7 +209,7 @@ def empirical_prediction_error(batch: TrajectoryBatch,
     ``riccati.solve_are`` (the error has zero mean, so the raw second
     moment is the variance estimator).
     """
-    _check_moment_preconditions(batch, burn_in)
+    _check_moment_preconditions(batch.sys, batch.horizon, burn_in)
     sl = slice(burn_in + 1, None)
     per_traj = ((batch.x[:, sl] - batch.xhat_pred[:, sl]) ** 2).mean(axis=1)
     return _mean_stderr(per_traj)

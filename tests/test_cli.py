@@ -223,6 +223,12 @@ class TestSimulateCmd:
         assert code == 2
         assert json.loads(err)["error"] == "UnstableClosedLoop"
 
+    @pytest.mark.parametrize("flag", ["--trajectories", "--workers"])
+    def test_zero_count_is_a_typed_error(self, capsys, flag):
+        code, out, err = run(capsys, *self.ARGS, flag, "0")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NonPositiveCount"
+
 
 class TestVerify:
     def test_default_run_passes(self, capsys):

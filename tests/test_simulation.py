@@ -1,20 +1,26 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from privmask import (
     HorizonTooShort,
     MaskParams,
+    NonPositiveCount,
     SystemParams,
     UnstableClosedLoop,
     empirical_cost,
     empirical_prediction_error,
     simulate,
+    simulate_moments,
     solve_are,
     write_trajectories_csv,
 )
-from privmask.simulation import CSV_HEADER
+from privmask import simulation
+from privmask.simulation import BLOCK_STEPS, CSV_HEADER, SIGNALS
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
 ANCHOR_MASKS = MaskParams(m=0, n=0.05)
@@ -139,6 +145,78 @@ class TestMomentEstimators:
             per_traj = (innov[:, lag:] * innov[:, :-lag]).mean(axis=1)
             se = per_traj.std(ddof=1) / np.sqrt(len(per_traj))
             assert abs(per_traj.mean()) <= 3 * se + 1e-12
+
+
+# spans two block boundaries and ends inside a third block
+LONG_HORIZON = 2 * BLOCK_STEPS + 777
+
+
+class TestBlockBoundaries:
+    def test_noise_equals_one_shot_stream_read(self):
+        b = small_batch(masks=MaskParams(m=0.02, n=0.05), horizon=LONG_HORIZON,
+                        n_trajectories=3)
+        for i in range(3):
+            key = np.array([np.uint64(11), np.uint64(i)], dtype=np.uint64)
+            raw = Philox(key=key).random_raw(3 * (LONG_HORIZON + 1))
+            z = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+            assert np.array_equal(b.w[i, 1:], np.sqrt(0.05) * z[3::3])
+            assert np.array_equal(b.n[i], np.sqrt(0.05) * z[1::3])
+            assert np.array_equal(b.m[i], np.sqrt(0.02) * z[2::3])
+        assert np.all(b.w[:, 0] == 0.0)
+
+    def test_identities_hold_bit_for_bit(self):
+        b = small_batch(horizon=LONG_HORIZON, n_trajectories=3)
+        assert np.array_equal(b.x[:, 1:], b.sys.a * b.x[:, :-1] + b.v[:, :-1] + b.w[:, 1:])
+        assert np.array_equal(b.y, b.x + b.n)
+        assert np.array_equal(b.u, b.sys.k * b.y)
+        assert np.array_equal(b.v, b.u + b.m)
+        for i in range(b.n_trajectories):
+            xhat = 0.0
+            for t in range(1, b.horizon + 1):
+                pred = b.sys.a * xhat + b.u[i, t - 1]
+                assert pred == b.xhat_pred[i, t]
+                xhat = pred + b.gain[t] * (b.y[i, t] - pred)
+                assert xhat == b.xhat[i, t]
+
+    def test_block_length_irrelevant(self, monkeypatch):
+        ref = small_batch(horizon=100, n_trajectories=5)
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", 7)
+        short = small_batch(horizon=100, n_trajectories=5)
+        for field in SIGNALS:
+            assert np.array_equal(getattr(ref, field), getattr(short, field))
+
+    @pytest.mark.parametrize("burn_in", [1000, BLOCK_STEPS - 1, BLOCK_STEPS + 500])
+    def test_streaming_moments_match_full_batch(self, burn_in):
+        b = small_batch(horizon=LONG_HORIZON, n_trajectories=16)
+        cost, sigma = simulate_moments(ANCHOR, ANCHOR_MASKS, LONG_HORIZON, 16, 11,
+                                       1.0, 1.0, burn_in=burn_in)
+        np.testing.assert_allclose(cost, empirical_cost(b, 1.0, 1.0, burn_in), rtol=1e-12)
+        np.testing.assert_allclose(sigma, empirical_prediction_error(b, burn_in), rtol=1e-12)
+
+    def test_streaming_memory_flat_in_horizon(self, monkeypatch):
+        # A full batch of 16 trajectories holds at least 9 * 8 * 16 bytes per
+        # step.  The streaming path holds one block plus the shared gain
+        # schedule, a few float64 vectors of length T.
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", 32)
+        peaks = []
+        for horizon in (1000, 4000):
+            tracemalloc.start()
+            try:
+                simulate_moments(ANCHOR, ANCHOR_MASKS, horizon, 16, 3, 1.0, 1.0, burn_in=10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 32 * 3000
+
+    def test_guards(self):
+        with pytest.raises(NonPositiveCount):
+            simulate(ANCHOR, ANCHOR_MASKS, 10, 0, seed=1)
+        with pytest.raises(NonPositiveCount):
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 2000, 0, 1, 1.0, 1.0)
+        with pytest.raises(HorizonTooShort):
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 1000, 2, 1, 1.0, 1.0)
+        with pytest.raises(UnstableClosedLoop):
+            simulate_moments(SystemParams(a=0.9, k=0.2, w=0.05), ANCHOR_MASKS, 2000, 2, 1, 1.0, 1.0)
 
 
 class TestCsvDump:
