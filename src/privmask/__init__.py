@@ -60,6 +60,7 @@ from .params import (
     SystemParams,
     closed_loop_stable,
     nnr_of,
+    require_stable,
 )
 from .rates import (
     CostRate,
@@ -100,7 +101,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams", "MaskParams", "Nnr", "StabilityCheck", "nnr_of",
-    "closed_loop_stable",
+    "closed_loop_stable", "require_stable",
     "RiccatiSolution", "SecondMoment", "solve_are", "kalman_gain",
     "prediction_covariances", "gain_schedule", "iterate_prediction_covariance",
     "steady_state_second_moment",

@@ -29,10 +29,10 @@ from .design import (
     optimal_nnr,
     tradeoff_curve,
 )
-from .errors import NonPositiveCount, PrivmaskError, UnstableClosedLoop
+from .errors import NonPositiveCount, PrivmaskError
 from .oracle import CHECK_TOL, consistency_report
-from .params import MaskParams, SystemParams, closed_loop_stable
-from .rates import mi_rate, mi_rate_from_nnr, mi_rate_from_nnr_alt
+from .params import MaskParams, SystemParams
+from .rates import control_cost_rate, mi_rate, mi_rate_from_nnr, mi_rate_from_nnr_alt
 from .riccati import solve_are
 from .simulation import simulate_moments
 
@@ -85,7 +85,7 @@ def _parse_range(text: str, name: str) -> tuple:
     try:
         lo_s, hi_s, count_s = text.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-    except ValueError:
+    except (AttributeError, ValueError):
         raise PrivmaskError(f"--{name} must be lo:hi:count, got {text!r}") from None
     if count < 1 or hi < lo:
         raise PrivmaskError(f"--{name} needs hi >= lo and count >= 1, got {text!r}")
@@ -144,50 +144,54 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     file_cfg = {}
     if args.config is not None:
         with open(args.config) as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except ValueError as exc:
+                raise PrivmaskError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise PrivmaskError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
 
-    def pick(flag_value, key, default=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
+    def pick(flag_value, key, default=None, convert=None):
+        """Flag, else config entry (``null`` counts as absent), else default, then ``convert``."""
+        value = flag_value if flag_value is not None else file_cfg.get(key)
+        if value is None:
+            value = default
+        if value is None or convert is None:
+            return value
+        try:
+            return convert(value)
+        except (OverflowError, TypeError, ValueError):
+            raise PrivmaskError(f"config entry {key!r} has an invalid value {value!r}") from None
 
-    a = pick(args.a, "a")
-    k = pick(args.k, "k")
+    a = pick(args.a, "a", convert=float)
+    k = pick(args.k, "k", convert=float)
     if a is None or k is None:
         raise PrivmaskError("both --a and --k are required (flag or config file)")
 
-    lambdas = args.lambdas
-    if lambdas is not None:
-        lambdas = _parse_lambdas(lambdas)
-    elif "lambda" in file_cfg:
-        lambdas = [float(v) for v in file_cfg["lambda"]]
+    if args.lambdas is not None:
+        lambdas = _parse_lambdas(args.lambdas)
     else:
-        lambdas = list(_DEFAULTS["lambda"])
+        lambdas = pick(None, "lambda", _DEFAULTS["lambda"], lambda v: [float(x) for x in v])
 
-    horizon = pick(args.horizon, "T", _T_DEFAULTS.get(args.command))
     # --workers has no effect; it stays accepted for existing scripts, and a
     # count below 1 is refused
-    workers = int(pick(args.workers, "workers", _DEFAULTS["workers"]))
+    workers = pick(args.workers, "workers", _DEFAULTS["workers"], int)
     if workers < 1:
         raise NonPositiveCount(f"--workers must be >= 1, got {workers}")
     return RunConfig(
         command=args.command,
-        a=float(a),
-        k=float(k),
-        w=float(pick(args.w, "w", _DEFAULTS["w"])),
-        q=float(pick(args.q, "q", _DEFAULTS["q"])),
-        r=float(pick(args.r, "r", _DEFAULTS["r"])),
-        m=float(pick(args.m, "m", _DEFAULTS["m"])),
-        n=float(pick(args.n, "n", _DEFAULTS["n"])),
-        alpha=(lambda v: None if v is None else float(v))(pick(args.alpha, "alpha")),
+        a=a,
+        k=k,
+        w=pick(args.w, "w", _DEFAULTS["w"], float),
+        q=pick(args.q, "q", _DEFAULTS["q"], float),
+        r=pick(args.r, "r", _DEFAULTS["r"], float),
+        m=pick(args.m, "m", _DEFAULTS["m"], float),
+        n=pick(args.n, "n", _DEFAULTS["n"], float),
+        alpha=pick(args.alpha, "alpha", convert=float),
         lambdas=lambdas,
-        horizon=None if horizon is None else int(horizon),
-        trajectories=int(pick(args.trajectories, "trajectories", _DEFAULTS["trajectories"])),
-        seed=int(pick(args.seed, "seed", _DEFAULTS["seed"])),
+        horizon=pick(args.horizon, "T", _T_DEFAULTS.get(args.command), int),
+        trajectories=pick(args.trajectories, "trajectories", _DEFAULTS["trajectories"], int),
+        seed=pick(args.seed, "seed", _DEFAULTS["seed"], int),
         m_range=_parse_range(pick(args.m_range, "m_range", _DEFAULTS["m_range"]), "m-range"),
         n_range=_parse_range(pick(args.n_range, "n_range", _DEFAULTS["n_range"]), "n-range"),
         alpha_range=_parse_range(pick(args.alpha_range, "alpha_range", _DEFAULTS["alpha_range"]),
@@ -269,38 +273,15 @@ def _write(cfg: RunConfig, text: str) -> None:
 # ------------------------------------------------------------- commands
 
 
-def _cost_value(sysp: SystemParams, masks: MaskParams) -> float:
-    """Cost rate with in-band divergence for unstable loops."""
-    from .rates import control_cost_rate
-
-    try:
-        return control_cost_rate(sysp, masks).cost
-    except UnstableClosedLoop:
-        if sysp.q == 0 and sysp.r == 0:
-            return 0.0
-        if sysp.w == 0 and masks.m == 0 and masks.n == 0:
-            return 0.0
-        return math.inf
-
-
-def _sigma_value(a: float, p: float, n: float) -> float:
-    from .errors import DegenerateAll
-
-    try:
-        return solve_are(a, p, n)
-    except DegenerateAll:
-        return math.inf
-
-
 def cmd_analyze(cfg: RunConfig) -> int:
     sysp, masks = cfg.system, cfg.masks
     rates = mi_rate(sysp, masks)
     payload = {
-        "sigma": _sigma_value(cfg.a, cfg.m + cfg.w, cfg.n),
+        "sigma": solve_are(cfg.a, cfg.m + cfg.w, cfg.n),
         "uplink_nats": rates.uplink,
         "downlink_nats": rates.downlink,
         "mi_nats": rates.total,
-        "cost": _cost_value(sysp, masks),
+        "cost": control_cost_rate(sysp, masks).cost,
         "diagnostics": boundary_diagnostics(masks, cfg.w).value,
     }
     _emit_json(cfg, payload)
@@ -330,9 +311,9 @@ def cmd_grid(cfg: RunConfig) -> int:
             else:
                 alpha = math.inf if masks.n > 0 else 0.0
             rates = mi_rate(sysp, masks)
-            rows.append([masks.m, masks.n, alpha, _sigma_value(sysp.a, p, masks.n),
+            rows.append([masks.m, masks.n, alpha, solve_are(sysp.a, p, masks.n),
                          rates.uplink, rates.downlink, rates.total,
-                         _cost_value(sysp, masks)])
+                         control_cost_rate(sysp, masks).cost])
     _emit_table(cfg, header, rows)
     return 0
 
@@ -381,10 +362,6 @@ def cmd_design(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     sysp, masks = cfg.system, cfg.masks
-    if not closed_loop_stable(sysp).stable:
-        raise UnstableClosedLoop(f"|a+k| = {abs(cfg.a + cfg.k)} >= 1")
-    from .rates import control_cost_rate
-
     (cost, cost_se), (sigma, sigma_se) = simulate_moments(
         sysp, masks, cfg.horizon, cfg.trajectories, cfg.seed, cfg.q, cfg.r)
     cf_cost = control_cost_rate(sysp, masks).cost

@@ -29,11 +29,10 @@ from .errors import (
     NegativeWeight,
     NoConvergence,
     NonPositiveAlpha,
-    UnstableClosedLoop,
     ZeroGain,
     ZeroProcessNoise,
 )
-from .params import MaskParams, SystemParams, closed_loop_stable
+from .params import MaskParams, SystemParams, require_stable
 from .rates import (
     control_cost_rate_from_nnr,
     control_cost_rate_from_nnr_derivative,
@@ -218,8 +217,7 @@ def tradeoff_point(sys: SystemParams, lam: float, *,
     """
     if lam < 0:
         raise NegativeWeight(f"trade-off weight must be >= 0, got {lam}")
-    if not closed_loop_stable(sys).stable:
-        raise UnstableClosedLoop(f"|a+k| = {abs(sys.a + sys.k)} >= 1")
+    require_stable(sys)
     if sys.w == 0:
         raise ZeroProcessNoise(
             "w = 0: the cost along the m = 0 line is unrealizable (no finite "

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMasks, HorizonTooLarge, SingularBlock
+from .errors import DegenerateMasks, HorizonTooLarge, HorizonTooShort, SingularBlock
 from .params import MaskParams, SystemParams
 from .rates import finite_horizon_info
 from .riccati import gain_schedule
@@ -168,6 +168,13 @@ def _logdet(mat: np.ndarray, block: str) -> float:
     return 2.0 * float(np.log(L.diagonal()).sum())
 
 
+def _check_horizon(horizon: int, cap: int) -> None:
+    if horizon < 1:
+        raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
+    if horizon > cap:
+        raise HorizonTooLarge(f"horizon must be in 1..{cap}, got {horizon}")
+
+
 def joint_covariance(
     sys: SystemParams, masks: MaskParams, horizon: int, signals: Iterable[str]
 ) -> JointCovariance:
@@ -176,8 +183,7 @@ def joint_covariance(
     ``signals`` is an ordered collection of labels from
     ``X_1..X_T, Y_0..Y_T, Xhat_1..Xhat_T, U_0..U_{T-1}``.
     """
-    if not 1 <= horizon <= JOINT_HORIZON_CAP:
-        raise HorizonTooLarge(f"horizon must be in 1..{JOINT_HORIZON_CAP}, got {horizon}")
+    _check_horizon(horizon, JOINT_HORIZON_CAP)
     labels = tuple(signals)
     space = _SignalSpace(sys, masks, horizon)
     return JointCovariance(horizon=horizon, labels=labels, cov=space.cov(labels))
@@ -228,8 +234,7 @@ def exact_directed_info(
     """
     if target not in ("Y", "Xhat"):
         raise ValueError(f"target must be 'Y' or 'Xhat', got {target!r}")
-    if not 1 <= horizon <= DIRECTED_HORIZON_CAP:
-        raise HorizonTooLarge(f"horizon must be in 1..{DIRECTED_HORIZON_CAP}, got {horizon}")
+    _check_horizon(horizon, DIRECTED_HORIZON_CAP)
     space = _SignalSpace(sys, masks, horizon)
     first = 0 if target == "Y" else 1
     z = lambda t: f"{target}_{t}"
@@ -275,8 +280,7 @@ def consistency_report(
     and splits vs the measurement-target ones, which deviate by design of
     the zero-initial-covariance filter.
     """
-    if not 1 <= horizon <= CONSISTENCY_HORIZON_CAP:
-        raise HorizonTooLarge(f"horizon must be in 1..{CONSISTENCY_HORIZON_CAP}, got {horizon}")
+    _check_horizon(horizon, CONSISTENCY_HORIZON_CAP)
     if masks.n == 0 or masks.m + sys.w == 0:
         raise DegenerateMasks("consistency_report needs n > 0 and m + w > 0")
 

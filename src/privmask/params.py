@@ -22,6 +22,7 @@ from .errors import (
     NegativeWeight,
     NonPositiveAlpha,
     PrivmaskError,
+    UnstableClosedLoop,
     ZeroGain,
     ZeroUplink,
 )
@@ -133,3 +134,16 @@ def closed_loop_stable(sys: SystemParams) -> StabilityCheck:
     """Whether |a+k| < 1, together with the margin 1 - (a+k)^2."""
     s = sys.a + sys.k
     return StabilityCheck(stable=abs(s) < 1.0, margin=1.0 - s * s)
+
+
+def require_stable(sys: SystemParams) -> float:
+    """Margin 1 - (a+k)^2 of a stable closed loop; ``UnstableClosedLoop`` otherwise.
+
+    The one raising stability guard, for routines whose result has no
+    in-band meaning on an unstable loop (the trade-off search, the
+    ``_from_nnr`` cost forms and the Monte Carlo moment estimators).
+    """
+    stable, margin = closed_loop_stable(sys)
+    if not stable:
+        raise UnstableClosedLoop(f"|a+k| = {abs(sys.a + sys.k)} >= 1")
+    return margin

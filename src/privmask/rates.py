@@ -6,9 +6,11 @@ the steady prediction variance from :mod:`privmask.riccati`.  Their sum,
 the total privacy-loss rate, depends on the masks only through the
 noise-to-noise ratio ``alpha = n/(m+w)``.
 
-Divergent regimes (a missing mask) are reported in-band as IEEE infinities
-with a ``divergent`` flag, never as exceptions, so parameter sweeps that
-touch boundary points complete without aborting.
+Divergent regimes are reported in-band as IEEE infinities, never as
+exceptions, so parameter sweeps that touch boundary points complete without
+aborting: a missing mask gives an infinite flow (with a ``divergent``
+flag), an unstable closed loop an infinite cost.  Only the ``_from_nnr``
+cost forms, which feed the trade-off search, refuse unstable loops.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha, UnstableClosedLoop
-from .params import MaskParams, SystemParams, closed_loop_stable
-from .riccati import prediction_covariances, solve_are
+from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha
+from .params import MaskParams, SystemParams, require_stable
+from .riccati import prediction_covariances, solve_are, steady_state_second_moment
 
 
 @dataclass(frozen=True)
@@ -118,15 +120,12 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
 def mi_rate_from_nnr_derivative(sys: SystemParams, alpha: float) -> float:
     """Exact d/d(alpha) of the total rate from ``mi_rate_from_nnr``.
 
-    Differentiates the root s(alpha) implicitly through its quadratic; the
-    denominator 2s - b equals the discriminant square root, which is
-    strictly positive for alpha > 0.
+    Differentiates the root s(alpha) implicitly through its quadratic
+    s^2 - b*s - 1/alpha = 0; the denominator 2s - b equals the discriminant
+    square root, which is strictly positive for alpha > 0.
     """
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    b = sys.a * sys.a - 1.0 + 1.0 / alpha
-    disc = math.sqrt(b * b + 4.0 / alpha)
-    s = 0.5 * (b + disc)
+    s = nnr_prediction_ratio(sys.a, alpha)
+    disc = 2.0 * s - (sys.a * sys.a - 1.0 + 1.0 / alpha)
     ds = -(s + 1.0) / (alpha * alpha * disc)
     k2 = sys.k * sys.k
     return ds / (2.0 * (1.0 + s)) + k2 / (2.0 * (1.0 + k2 * alpha))
@@ -147,12 +146,19 @@ def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:
 
 
 def control_cost_rate(sys: SystemParams, masks: MaskParams) -> CostRate:
-    """Steady cost rate (q + r k^2)(m + k^2 n + w)/(1-(a+k)^2) + r k^2 n."""
-    stable, margin = closed_loop_stable(sys)
-    if not stable:
-        raise UnstableClosedLoop(f"|a+k| = {abs(sys.a + sys.k)} >= 1")
+    """Steady cost rate (q + r k^2) P + r k^2 n, P from ``steady_state_second_moment``.
+
+    ``q = r = 0`` costs 0.0 for every loop.  Otherwise an unstable loop
+    costs ``inf``, except when m = n = w = 0, where the state stays at 0
+    and so does the cost.
+    """
+    if sys.q == 0 and sys.r == 0:
+        return CostRate(cost=0.0)
+    p_ss = steady_state_second_moment(sys, masks).p_ss
+    if math.isinf(p_ss):
+        # r*k^2 can underflow to 0 when q = 0, and 0*inf would be nan
+        return CostRate(cost=math.inf)
     k2 = sys.k * sys.k
-    p_ss = (masks.m + k2 * masks.n + sys.w) / margin
     return CostRate(cost=(sys.q + sys.r * k2) * p_ss + sys.r * k2 * masks.n)
 
 
@@ -164,18 +170,14 @@ def control_cost_rate_from_nnr(sys: SystemParams, alpha: float) -> float:
     """
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    stable, margin = closed_loop_stable(sys)
-    if not stable:
-        raise UnstableClosedLoop(f"|a+k| = {abs(sys.a + sys.k)} >= 1")
+    margin = require_stable(sys)
     k2 = sys.k * sys.k
     return (sys.q + sys.r * k2) * sys.w * (1.0 + k2 * alpha) / margin + sys.r * k2 * alpha * sys.w
 
 
 def control_cost_rate_from_nnr_derivative(sys: SystemParams) -> float:
     """Exact d/d(alpha) of ``control_cost_rate_from_nnr`` (affine in alpha)."""
-    stable, margin = closed_loop_stable(sys)
-    if not stable:
-        raise UnstableClosedLoop(f"|a+k| = {abs(sys.a + sys.k)} >= 1")
+    margin = require_stable(sys)
     k2 = sys.k * sys.k
     return (sys.q + sys.r * k2) * sys.w * k2 / margin + sys.r * k2 * sys.w
 

@@ -18,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateAll,
-    NegativeInput,
-    NoConvergence,
-    UnstableClosedLoop,
-)
+from .errors import DegenerateAll, NegativeInput, NoConvergence
 from .params import MaskParams, SystemParams, closed_loop_stable
 
 DEFAULT_TOL = 1e-12
@@ -62,15 +57,11 @@ def solve_are(a: float, p: float, n: float) -> float:
     variance ``p = m + w`` and the uplink mask variance ``n``.
 
     ``n = 0`` is accepted and returns ``p`` (the noiseless-uplink limit).
-    ``p = n = 0`` returns 0 for a stable plant and raises ``DegenerateAll``
-    otherwise (an unobserved unstable plant has no steady covariance).
+    ``p = n = 0`` returns 0 for every ``a``: with no noise at all the state
+    is known exactly, which is also the limit as p -> 0 or n -> 0.
     """
     if p < 0 or n < 0:
         raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
-    if p == 0 and n == 0:
-        if abs(a) < 1:
-            return 0.0
-        raise DegenerateAll(f"p = n = 0 with |a| = {abs(a)} >= 1: no steady covariance")
     b = (a * a - 1.0) * n + p
     # hypot form avoids overflow of b*b and p*n for extreme magnitudes
     disc = math.hypot(b, 2.0 * math.sqrt(p) * math.sqrt(n))
@@ -133,17 +124,17 @@ def iterate_prediction_covariance(
     l_t = S_t/(S_t + n) from S_1 = p until successive values differ by at
     most ``tol``.  The final value agrees with ``solve_are`` within 10*tol.
 
-    The noiseless-uplink case ``n = 0`` with ``|a| >= 1`` is refused with
-    ``NoConvergence``: the gain is pinned at 1 and the recursion degenerates
-    rather than tracking an attracting fixed point; ``solve_are`` still
-    returns the limiting root ``p`` for that regime.
+    ``p = n = 0`` converges in one step to 0 for every ``a``, as
+    ``solve_are`` does.  The noiseless-uplink case ``n = 0 < p`` with
+    ``|a| >= 1`` is refused with ``NoConvergence``: the gain is pinned at 1
+    and the recursion degenerates rather than tracking an attracting fixed
+    point; ``solve_are`` still returns the limiting root ``p`` for that
+    regime.
     """
     if tol <= 0:
         raise NegativeInput(f"tol must be > 0, got {tol}")
     if p < 0 or n < 0:
         raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
-    if p == 0 and n == 0 and abs(a) >= 1:
-        raise DegenerateAll(f"p = n = 0 with |a| = {abs(a)} >= 1: no steady covariance")
     if n == 0 and p > 0 and abs(a) >= 1:
         raise NoConvergence(
             f"n = 0 with |a| = {abs(a)} >= 1: covariance iteration not supported "
@@ -168,10 +159,12 @@ def iterate_prediction_covariance(
 def steady_state_second_moment(sys: SystemParams, masks: MaskParams) -> SecondMoment:
     """Steady state second moment P = (m + k^2 n + w) / (1 - (a+k)^2).
 
-    Equals the limit of P_t = (a+k)^2 P_{t-1} + m + k^2 n + w from P_0 = 0;
-    requires a stable closed loop.
+    Equals the limit of P_t = (a+k)^2 P_{t-1} + m + k^2 n + w from P_0 = 0.
+    An unstable closed loop has no finite limit and returns ``inf``, except
+    when m = n = w = 0: the state then stays at 0 and P = 0.
     """
     stable, margin = closed_loop_stable(sys)
-    if not stable:
-        raise UnstableClosedLoop(f"|a+k| = {abs(sys.a + sys.k)} >= 1")
-    return SecondMoment(p_ss=(masks.m + sys.k * sys.k * masks.n + sys.w) / margin)
+    if stable:
+        return SecondMoment(p_ss=(masks.m + sys.k * sys.k * masks.n + sys.w) / margin)
+    noiseless = masks.m == 0 and masks.n == 0 and sys.w == 0
+    return SecondMoment(p_ss=0.0 if noiseless else math.inf)

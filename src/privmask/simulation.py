@@ -20,8 +20,8 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import HorizonTooShort, NonPositiveCount, UnstableClosedLoop
-from .params import MaskParams, SystemParams, closed_loop_stable
+from .errors import HorizonTooShort, NonPositiveCount
+from .params import MaskParams, SystemParams, require_stable
 from .riccati import gain_schedule
 
 DEFAULT_BURN_IN = 1000
@@ -181,10 +181,7 @@ def _check_moment_preconditions(sys: SystemParams, horizon: int, burn_in: int) -
     if horizon <= burn_in:
         raise HorizonTooShort(
             f"horizon {horizon} must exceed the burn-in of {burn_in} steps")
-    if not closed_loop_stable(sys).stable:
-        raise UnstableClosedLoop(
-            "moment estimators refuse unstable closed loops "
-            f"(|a+k| = {abs(sys.a + sys.k)})")
+    require_stable(sys)
 
 
 def empirical_cost(batch: TrajectoryBatch, q: float, r: float,

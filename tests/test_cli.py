@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from privmask.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def run(capsys, *argv):
@@ -79,6 +82,18 @@ class TestConfigFile:
         code, _, err = run(capsys, "analyze", "--config", str(cfg))
         assert code == 2
 
+    @pytest.mark.parametrize("command, text", [
+        ("analyze", '{"a": 1, "k": -1,'),
+        ("analyze", '{"a": 1, "k": -1, "n": "abc"}'),
+        ("design", '{"a": 1, "k": -1, "lambda": 5}'),
+    ], ids=["malformed-json", "non-numeric-entry", "non-list-lambda"])
+    def test_malformed_config_is_a_typed_error(self, capsys, tmp_path, command, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run(capsys, command, "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "PrivmaskError"
+
 
 class TestGrid:
     def test_single_cell_matches_analyze(self, capsys):
@@ -100,6 +115,17 @@ class TestGrid:
         rows = out.strip().split("\n")[2:]
         assert rows[0].split(",")[6] == "inf"  # n = 0 cell
         assert rows[1].split(",")[6] != "inf"
+
+    @pytest.mark.parametrize("a", ["0.5", "1", "1.5", "-2"])
+    def test_noise_free_corner_cell_is_zero(self, capsys, a):
+        # m = n = w = 0: the state stays at 0 whatever the plant
+        flags = ("--a", a, "--k", "0.3", "--w", "0")
+        doc = run_json(capsys, "analyze", *flags, "--m", "0", "--n", "0")
+        assert (doc["sigma"], doc["mi_nats"], doc["cost"]) == (0.0, 0.0, 0.0)
+        code, out, _ = run(capsys, "grid", *flags, "--m-range", "0:0:1", "--n-range", "0:0:1")
+        row = out.strip().split("\n")[2].split(",")
+        assert code == 0
+        assert [float(row[i]) for i in (3, 6, 7)] == [0.0, 0.0, 0.0]
 
     def test_constant_rate_along_ratio_lines(self, capsys):
         alpha = 0.7
@@ -223,6 +249,13 @@ class TestSimulateCmd:
         assert code == 2
         assert json.loads(err)["error"] == "UnstableClosedLoop"
 
+    def test_noise_free_loop_passes(self, capsys):
+        doc = run_json(capsys, "simulate", "--a", "1.2", "--k", "-0.5", "--w", "0",
+                       "--m", "0", "--n", "0", "--T", "1500")
+        assert doc["pass"] is True
+        assert doc["closed_form_sigma"] == doc["empirical_sigma"] == 0.0
+        assert doc["closed_form_cost"] == doc["empirical_cost"] == 0.0
+
     @pytest.mark.parametrize("flag", ["--trajectories", "--workers"])
     def test_zero_count_is_a_typed_error(self, capsys, flag):
         code, out, err = run(capsys, *self.ARGS, flag, "0")
@@ -254,6 +287,12 @@ class TestVerify:
         assert code == 2
         assert json.loads(err)["error"] == "HorizonTooLarge"
 
+    @pytest.mark.parametrize("horizon", ["0", "-3"])
+    def test_short_horizon_is_exit_2(self, capsys, horizon):
+        code, out, err = run(capsys, "verify", "--a", "1", "--k", "-1", "--T", horizon)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "HorizonTooShort"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "verify", "--a", "1", "--k", "-1", "--T", "5",
                            "--format", "json")
@@ -282,3 +321,18 @@ class TestOutputRoundTrip:
                              "--output", str(path))
         assert empty == ""
         assert path.read_text() == out
+
+
+class TestGoldenOutputs:
+    """Replays small invocations against stdout recorded in ``data/cli_golden.json``.
+
+    A refactor that must keep outputs identical has to keep these bytes.
+    ``design`` and ``verify`` are left out: their last bits depend on the
+    Newton polish and on the BLAS build.
+    """
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+    def test_stdout_is_unchanged(self, capsys, case):
+        code, out, _ = run(capsys, *case["argv"])
+        assert code == case["exit"]
+        assert out == case["stdout"]

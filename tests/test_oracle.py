@@ -5,6 +5,7 @@ import pytest
 
 from privmask import (
     HorizonTooLarge,
+    HorizonTooShort,
     MaskParams,
     SingularBlock,
     SystemParams,
@@ -201,3 +202,14 @@ class TestConsistencyReport:
     def test_horizon_cap(self):
         with pytest.raises(HorizonTooLarge):
             consistency_report(ANCHOR, ANCHOR_MASKS, 21)
+
+
+@pytest.mark.parametrize("call", [
+    lambda T: joint_covariance(ANCHOR, ANCHOR_MASKS, T, ["X_1"]),
+    lambda T: exact_directed_info(ANCHOR, ANCHOR_MASKS, T, "Y"),
+    lambda T: consistency_report(ANCHOR, ANCHOR_MASKS, T),
+], ids=["joint_covariance", "exact_directed_info", "consistency_report"])
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_short_horizon_is_too_short_not_too_large(call, horizon):
+    with pytest.raises(HorizonTooShort):
+        call(horizon)

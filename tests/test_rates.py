@@ -8,7 +8,6 @@ from privmask import (
     MaskParams,
     NonPositiveAlpha,
     SystemParams,
-    UnstableClosedLoop,
     control_cost_rate,
     control_cost_rate_from_nnr,
     control_cost_rate_from_nnr_derivative,
@@ -129,8 +128,25 @@ class TestCostRate:
         assert control_cost_rate(s, ANCHOR_MASKS).cost == 0.0
 
     def test_unstable_rejected(self):
-        with pytest.raises(UnstableClosedLoop):
-            control_cost_rate(SystemParams(a=0.9, k=0.2, w=0.05, q=1, r=1), ANCHOR_MASKS)
+        cost = control_cost_rate(SystemParams(a=0.9, k=0.2, w=0.05, q=1, r=1), ANCHOR_MASKS)
+        assert cost.cost == math.inf
+
+    @pytest.mark.parametrize("sys_, masks, want", [
+        # q = r = 0 costs nothing on any loop
+        (SystemParams(a=0.9, k=0.2, w=0.05, q=0, r=0), ANCHOR_MASKS, 0.0),
+        # m = n = w = 0: the state stays at 0
+        (SystemParams(a=0.9, k=0.2, w=0.0, q=1, r=1), MaskParams(m=0, n=0), 0.0),
+        (SystemParams(a=1.5, k=0.5, w=0.0, q=0, r=1), MaskParams(m=0, n=0), 0.0),
+        # any noise at all diverges
+        (SystemParams(a=0.9, k=0.2, w=0.0, q=1, r=1), MaskParams(m=0, n=0.1), math.inf),
+        (SystemParams(a=0.9, k=0.2, w=0.0, q=1, r=0), MaskParams(m=0.1, n=0), math.inf),
+        (SystemParams(a=-1.5, k=0.3, w=0.05, q=0, r=1), MaskParams(m=0, n=0), math.inf),
+        # r k^2 underflows to 0: still inf, never nan
+        (SystemParams(a=1.5, k=1e-200, w=0.05, q=0, r=1), ANCHOR_MASKS, math.inf),
+    ], ids=["no-weights", "noise-free", "noise-free-q0", "uplink-mask", "downlink-mask",
+            "process-noise", "rk2-underflow"])
+    def test_unstable_loop_rules(self, sys_, masks, want):
+        assert control_cost_rate(sys_, masks).cost == want
 
     def test_nnr_form_matches_masks_on_line(self):
         # C(alpha, 0, 0) is the cost at m=0, n=alpha*w

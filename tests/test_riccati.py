@@ -9,7 +9,6 @@ from privmask import (
     NegativeInput,
     NoConvergence,
     SystemParams,
-    UnstableClosedLoop,
     iterate_prediction_covariance,
     kalman_gain,
     prediction_covariances,
@@ -44,8 +43,7 @@ class TestSolveAre:
 
     def test_degenerate_all_stable_vs_unstable(self):
         assert solve_are(0.5, 0.0, 0.0) == 0.0
-        with pytest.raises(DegenerateAll):
-            solve_are(1.0, 0.0, 0.0)
+        assert solve_are(1.0, 0.0, 0.0) == 0.0
 
     def test_cancellation_free_branch(self):
         # (a**2-1)*n + p < 0 exercises the product-of-roots branch
@@ -96,6 +94,12 @@ class TestIteration:
     def test_unstable_noiseless_uplink_refused(self):
         with pytest.raises(NoConvergence):
             iterate_prediction_covariance(1.5, 0.1, 0.0, tol=1e-12, max_iter=10**6)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_all_zero_noise_converges_to_zero(self, a):
+        sol = iterate_prediction_covariance(a, 0.0, 0.0)
+        assert sol.sigma == solve_are(a, 0.0, 0.0) == 0.0
+        assert sol.iterations == 1
 
     def test_stable_noiseless_uplink_converges(self):
         sol = iterate_prediction_covariance(0.5, 0.1, 0.0, tol=1e-12)
@@ -161,5 +165,9 @@ class TestSecondMoment:
 
     def test_unstable_rejected(self):
         s = SystemParams(a=0.9, k=0.2, w=0.05)
-        with pytest.raises(UnstableClosedLoop):
-            steady_state_second_moment(s, MaskParams(m=0.1, n=0.1))
+        assert steady_state_second_moment(s, MaskParams(m=0.1, n=0.1)).p_ss == math.inf
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
+    def test_noiseless_loop_stays_at_zero(self, a):
+        s = SystemParams(a=a, k=0.3, w=0.0)
+        assert steady_state_second_moment(s, MaskParams(m=0, n=0)).p_ss == 0.0
