@@ -99,6 +99,31 @@ def _parse_lambdas(text: str) -> list:
         raise PrivmaskError(f"--lambda must be a comma-separated float list, got {text!r}") from None
 
 
+def _real(value) -> float:
+    """A float from a number or a numeric string; never from a bool."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
+def _integral(value) -> int:
+    """An int, or a float with an integral value; never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
+def _accept(test):
+    """A converter that passes a value through when ``test`` accepts it."""
+    def convert(value):
+        if not test(value):
+            raise ValueError(value)
+        return value
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     g = shared.add_argument_group("parameters")
@@ -163,42 +188,43 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         except (OverflowError, TypeError, ValueError):
             raise PrivmaskError(f"config entry {key!r} has an invalid value {value!r}") from None
 
-    a = pick(args.a, "a", convert=float)
-    k = pick(args.k, "k", convert=float)
+    a = pick(args.a, "a", convert=_real)
+    k = pick(args.k, "k", convert=_real)
     if a is None or k is None:
         raise PrivmaskError("both --a and --k are required (flag or config file)")
 
     if args.lambdas is not None:
         lambdas = _parse_lambdas(args.lambdas)
     else:
-        lambdas = pick(None, "lambda", _DEFAULTS["lambda"], lambda v: [float(x) for x in v])
+        lambdas = pick(None, "lambda", _DEFAULTS["lambda"], lambda v: [_real(x) for x in v])
 
     # --workers has no effect; it stays accepted for existing scripts, and a
     # count below 1 is refused
-    workers = pick(args.workers, "workers", _DEFAULTS["workers"], int)
+    workers = pick(args.workers, "workers", _DEFAULTS["workers"], _integral)
     if workers < 1:
         raise NonPositiveCount(f"--workers must be >= 1, got {workers}")
     return RunConfig(
         command=args.command,
         a=a,
         k=k,
-        w=pick(args.w, "w", _DEFAULTS["w"], float),
-        q=pick(args.q, "q", _DEFAULTS["q"], float),
-        r=pick(args.r, "r", _DEFAULTS["r"], float),
-        m=pick(args.m, "m", _DEFAULTS["m"], float),
-        n=pick(args.n, "n", _DEFAULTS["n"], float),
-        alpha=pick(args.alpha, "alpha", convert=float),
+        w=pick(args.w, "w", _DEFAULTS["w"], _real),
+        q=pick(args.q, "q", _DEFAULTS["q"], _real),
+        r=pick(args.r, "r", _DEFAULTS["r"], _real),
+        m=pick(args.m, "m", _DEFAULTS["m"], _real),
+        n=pick(args.n, "n", _DEFAULTS["n"], _real),
+        alpha=pick(args.alpha, "alpha", convert=_real),
         lambdas=lambdas,
-        horizon=pick(args.horizon, "T", _T_DEFAULTS.get(args.command), int),
-        trajectories=pick(args.trajectories, "trajectories", _DEFAULTS["trajectories"], int),
-        seed=pick(args.seed, "seed", _DEFAULTS["seed"], int),
+        horizon=pick(args.horizon, "T", _T_DEFAULTS.get(args.command), _integral),
+        trajectories=pick(args.trajectories, "trajectories", _DEFAULTS["trajectories"],
+                          _integral),
+        seed=pick(args.seed, "seed", _DEFAULTS["seed"], _integral),
         m_range=_parse_range(pick(args.m_range, "m_range", _DEFAULTS["m_range"]), "m-range"),
         n_range=_parse_range(pick(args.n_range, "n_range", _DEFAULTS["n_range"]), "n-range"),
         alpha_range=_parse_range(pick(args.alpha_range, "alpha_range", _DEFAULTS["alpha_range"]),
                                  "alpha-range"),
-        output=pick(args.output, "output"),
-        fmt=pick(args.fmt, "format"),
-        bits=bool(pick(args.bits, "bits", False)),
+        output=pick(args.output, "output", convert=_accept(lambda v: isinstance(v, str))),
+        fmt=pick(args.fmt, "format", convert=_accept(lambda v: v in ("csv", "json"))),
+        bits=pick(args.bits, "bits", False, _accept(lambda v: isinstance(v, bool))),
     )
 
 

@@ -4,9 +4,17 @@ Every signal in the loop (state ``X_t``, masked uplink ``Y_t``, raw command
 ``U_t``, cloud estimate ``Xhat_t``) is a linear combination of the
 underlying independent Gaussian noises, so its exact joint covariance can
 be assembled by propagating coefficient vectors instead of sampling.
-Mutual and directed information then reduce to log-determinants and
-conditional-variance ratios.  This module is the independent verification
-path for the closed forms in :mod:`privmask.rates`.
+Mutual information then reduces to log-determinants, and directed
+information to squared Cholesky pivots: the pivot at a position of an
+ordering is the variance of that signal given everything before it.  This
+module is the independent verification path for the closed forms in
+:mod:`privmask.rates`.
+
+Every factorization goes through ``_chol``, which refuses a covariance
+whose smallest pivot is so small against its largest diagonal entry that
+rounding alone could exceed the ``CHECK_TOL`` comparisons
+(``SingularBlock``).  That guard, not the horizon, is what bounds the
+precision; ``HORIZON_CAP`` only bounds time and memory.
 
 Initial conditions are pinned to a known zero state: ``X_0 = 0``,
 ``Xhat_0 = 0`` and zero initial error covariance.  One consequence is that
@@ -33,12 +41,12 @@ from .params import MaskParams, SystemParams
 from .rates import finite_horizon_info
 from .riccati import gain_schedule
 
-JOINT_HORIZON_CAP = 64
-DIRECTED_HORIZON_CAP = 32
-CONSISTENCY_HORIZON_CAP = 20
+HORIZON_CAP = 256
 
-PIVOT_RTOL = 1e-12
 CHECK_TOL = 1e-9
+# rounding in a factorization grows like eps * (largest diagonal / pivot);
+# refuse a pivot once that could reach a tenth of CHECK_TOL
+PIVOT_RTOL = 10 * np.finfo(float).eps / CHECK_TOL
 
 _LABEL_RE = re.compile(r"^(X|Y|Xhat|U)_(\d+)$")
 
@@ -147,16 +155,19 @@ def _chol(mat: np.ndarray, block: str) -> np.ndarray:
 
     Raises ``SingularBlock`` naming ``block`` when any pivot falls below
     PIVOT_RTOL times the largest diagonal entry, instead of returning a
-    garbage factorization for a near-singular covariance.
+    factorization too imprecise for the CHECK_TOL comparisons.
     """
     a = np.array(mat, dtype=float)
     d = a.shape[0]
-    tol = PIVOT_RTOL * max(a.diagonal().max(), 0.0)
+    top = max(a.diagonal().max(), 0.0)
+    tol = PIVOT_RTOL * top
     L = np.zeros_like(a)
     for j in range(d):
         pivot = a[j, j] - L[j, :j] @ L[j, :j]
         if pivot <= tol:
-            raise SingularBlock(f"covariance block {block} is singular at pivot {j} ({pivot:.3e})")
+            raise SingularBlock(
+                f"covariance block {block} is singular or too ill-conditioned for the "
+                f"{CHECK_TOL:g} checks at pivot {j} ({pivot:.3e}, largest diagonal {top:.3e})")
         L[j, j] = math.sqrt(pivot)
         if j + 1 < d:
             L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
@@ -168,11 +179,19 @@ def _logdet(mat: np.ndarray, block: str) -> float:
     return 2.0 * float(np.log(L.diagonal()).sum())
 
 
-def _check_horizon(horizon: int, cap: int) -> None:
+def _pivots(space: _SignalSpace, labels: Sequence[str], block: str) -> np.ndarray:
+    """Squared Cholesky pivots of the covariance of ``labels``, in order.
+
+    Pivot ``j`` is the variance of signal ``j`` given signals ``0..j-1``.
+    """
+    return _chol(space.cov(labels), block).diagonal() ** 2
+
+
+def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
-    if horizon > cap:
-        raise HorizonTooLarge(f"horizon must be in 1..{cap}, got {horizon}")
+    if horizon > HORIZON_CAP:
+        raise HorizonTooLarge(f"horizon must be in 1..{HORIZON_CAP}, got {horizon}")
 
 
 def joint_covariance(
@@ -183,7 +202,7 @@ def joint_covariance(
     ``signals`` is an ordered collection of labels from
     ``X_1..X_T, Y_0..Y_T, Xhat_1..Xhat_T, U_0..U_{T-1}``.
     """
-    _check_horizon(horizon, JOINT_HORIZON_CAP)
+    _check_horizon(horizon)
     labels = tuple(signals)
     space = _SignalSpace(sys, masks, horizon)
     return JointCovariance(horizon=horizon, labels=labels, cov=space.cov(labels))
@@ -208,25 +227,24 @@ def exact_mi(jc: JointCovariance, block_a: Sequence[str], block_b: Sequence[str]
     )
 
 
-def _condvar(space: _SignalSpace, target: str, cond: Sequence[str]) -> float:
-    """Conditional variance of one signal given a set of signals."""
-    if not cond:
-        return float(space.cov([target])[0, 0])
-    full = space.cov([target] + list(cond))
-    v = full[0, 0]
-    c = full[0, 1:]
-    L = _chol(full[1:, 1:], f"cond={list(cond)}")
-    z = np.linalg.solve(L, c)
-    return float(v - z @ z)
-
-
 def exact_directed_info(
     sys: SystemParams, masks: MaskParams, horizon: int, target: str = "Y"
 ) -> DirectedInformation:
     """Forward and backward directed information toward ``Y`` or ``Xhat``.
 
-    Each per-step term is half the log of a ratio of conditional variances
-    obtained by Schur complements on the exact joint covariance.  For
+    Each per-step term is half the log of a ratio of conditional variances,
+    and every one of them is a squared Cholesky pivot of one of three
+    factorizations (chain rule of Massey 1990), with ``Z`` the target:
+
+    * ``(Y_0 .. Y_T)`` or ``(Xhat_1 .. Xhat_T)`` gives ``Var(Z_t | Z^{t-1})``;
+    * ``(X_1 .. X_T)`` gives ``Var(X_t | X^{t-1})``;
+    * the interleaved ``(Y_0, X_1, Y_1, .., X_T, Y_T)``, or
+      ``(X_1, Xhat_1, .., X_T, Xhat_T)``, gives ``Var(Z_t | Z^{t-1}, X^t)``
+      at ``Z_t`` and ``Var(X_t | X^{t-1}, Z^{t-1})`` at ``X_t``.
+
+    Forward term ``t`` is ``0.5*log(Var(Z_t | Z^{t-1}) / Var(Z_t | Z^{t-1},
+    X^t))``, backward term ``t`` is ``0.5*log(Var(X_t | X^{t-1}) /
+    Var(X_t | X^{t-1}, Z^{t-1}))`` and 0 where ``Z^{t-1}`` is empty.  For
     ``target="Y"`` the forward terms equal ``0.5*log(1 + S_t/n)`` and every
     backward term equals ``0.5*log(1 + k^2 n/(m+w))``; for
     ``target="Xhat"`` the time-0 measurement is invisible to the filter and
@@ -234,25 +252,23 @@ def exact_directed_info(
     """
     if target not in ("Y", "Xhat"):
         raise ValueError(f"target must be 'Y' or 'Xhat', got {target!r}")
-    _check_horizon(horizon, DIRECTED_HORIZON_CAP)
-    space = _SignalSpace(sys, masks, horizon)
-    first = 0 if target == "Y" else 1
-    z = lambda t: f"{target}_{t}"
-    xs = lambda hi: [f"X_{s}" for s in range(1, hi + 1)]
+    _check_horizon(horizon)
+    return _directed_info(_SignalSpace(sys, masks, horizon), target)
 
-    fwd = np.zeros(horizon)
-    bwd = np.zeros(horizon)
-    for t in range(1, horizon + 1):
-        z_hist = [z(s) for s in range(first, t)]
-        v_prior = _condvar(space, z(t), z_hist)
-        v_post = _condvar(space, z(t), z_hist + xs(t))
-        fwd[t - 1] = 0.5 * math.log(v_prior / v_post)
 
-        z_past = [z(s) for s in range(first, t)]
-        if z_past:
-            v_prior = _condvar(space, f"X_{t}", xs(t - 1))
-            v_post = _condvar(space, f"X_{t}", xs(t - 1) + z_past)
-            bwd[t - 1] = 0.5 * math.log(v_prior / v_post)
+def _directed_info(space: _SignalSpace, target: str) -> DirectedInformation:
+    T = space.horizon
+    pre = 1 if target == "Y" else 0  # Y_0 precedes X_1; Xhat starts at 1
+    zs = [f"{target}_{t}" for t in range(1 - pre, T + 1)]
+    xs = [f"X_{t}" for t in range(1, T + 1)]
+    inter = zs[:pre] + [lbl for pair in zip(xs, zs[pre:]) for lbl in pair]
+    z_piv = _pivots(space, zs, f"{target}^{T}")[pre:]
+    x_piv = _pivots(space, xs, f"X^{T}")
+    i_piv = _pivots(space, inter, f"X^{T} interleaved with {target}^{T}")
+    fwd = 0.5 * np.log(z_piv / i_piv[pre + 1 :: 2])
+    bwd = 0.5 * np.log(x_piv / i_piv[pre::2])
+    if not pre:
+        bwd[0] = 0.0  # X_1 has no Xhat past
     return DirectedInformation(
         forward=float(fwd.sum()),
         backward=float(bwd.sum()),
@@ -280,18 +296,20 @@ def consistency_report(
     and splits vs the measurement-target ones, which deviate by design of
     the zero-initial-covariance filter.
     """
-    _check_horizon(horizon, CONSISTENCY_HORIZON_CAP)
+    _check_horizon(horizon)
     if masks.n == 0 or masks.m + sys.w == 0:
         raise DegenerateMasks("consistency_report needs n > 0 and m + w > 0")
 
     fh = finite_horizon_info(sys, masks, horizon)
-    di_y = exact_directed_info(sys, masks, horizon, "Y")
-    di_xh = exact_directed_info(sys, masks, horizon, "Xhat")
+    space = _SignalSpace(sys, masks, horizon)
+    di_y = _directed_info(space, "Y")
+    di_xh = _directed_info(space, "Xhat")
 
     x_block = [f"X_{t}" for t in range(1, horizon + 1)]
     y_block = [f"Y_{t}" for t in range(horizon + 1)]
     xh_block = [f"Xhat_{t}" for t in range(1, horizon + 1)]
-    jc = joint_covariance(sys, masks, horizon, x_block + y_block + xh_block)
+    labels = tuple(x_block + y_block + xh_block)
+    jc = JointCovariance(horizon=horizon, labels=labels, cov=space.cov(labels))
     mi_y = exact_mi(jc, x_block, y_block)
     mi_xh = exact_mi(jc, x_block, xh_block)
 

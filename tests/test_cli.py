@@ -76,6 +76,14 @@ class TestConfigFile:
                               "--m", "0", "--n", "0.05", "--q", "1", "--r", "1")
         assert out_cfg == out_flags
 
+    def test_typed_entries_still_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"a": 1, "k": -1, "T": 3.0, "format": "json", "bits": True}))
+        _, out_cfg, _ = run(capsys, "verify", "--config", str(cfg))
+        _, out_flags, _ = run(capsys, "verify", "--a", "1", "--k", "-1", "--T", "3",
+                              "--format", "json", "--bits")
+        assert out_cfg == out_flags != ""
+
     def test_bad_config_shape(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2, 3]")
@@ -86,7 +94,15 @@ class TestConfigFile:
         ("analyze", '{"a": 1, "k": -1,'),
         ("analyze", '{"a": 1, "k": -1, "n": "abc"}'),
         ("design", '{"a": 1, "k": -1, "lambda": 5}'),
-    ], ids=["malformed-json", "non-numeric-entry", "non-list-lambda"])
+        ("analyze", '{"a": 1, "k": -1, "output": 5}'),
+        ("verify", '{"a": 1, "k": -1, "T": 1.7}'),
+        ("verify", '{"a": 1, "k": -1, "T": true}'),
+        ("grid", '{"a": 1, "k": -1, "format": "xml"}'),
+        ("analyze", '{"a": 1, "k": -1, "bits": "false"}'),
+        ("analyze", '{"a": 1, "k": -1, "n": true}'),
+    ], ids=["malformed-json", "non-numeric-entry", "non-list-lambda", "non-string-output",
+            "fractional-integer", "boolean-integer", "unknown-format", "non-boolean-bits",
+            "boolean-number"])
     def test_malformed_config_is_a_typed_error(self, capsys, tmp_path, command, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
@@ -283,9 +299,24 @@ class TestVerify:
         assert float(fwd.split(",")[1]) == pytest.approx(0.346574, abs=1e-6)
 
     def test_horizon_cap_is_exit_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--a", "1", "--k", "-1", "--T", "50")
+        code, _, err = run(capsys, "verify", "--a", "1", "--k", "-1", "--T", "257")
         assert code == 2
         assert json.loads(err)["error"] == "HorizonTooLarge"
+
+    def test_horizons_up_to_the_cap_run(self, capsys):
+        code, out, _ = run(capsys, "verify", "--a", "1", "--k", "-1", "--T", "256")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2 + 4 + 256 + 3
+
+    def test_ill_conditioned_oracle_is_exit_2(self, capsys):
+        # |a + k| = 1.7: the closed forms hold, but by T = 20 the oracle's
+        # factorizations are too ill-conditioned to check them to 1e-9
+        flags = ("--a", "1.5", "--k", "0.2", "--w", "0.2", "--m", "0.1", "--n", "0.3")
+        code, out, err = run(capsys, "verify", *flags, "--T", "20")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "SingularBlock"
+        code, _, _ = run(capsys, "verify", *flags, "--T", "10")
+        assert code == 0
 
     @pytest.mark.parametrize("horizon", ["0", "-3"])
     def test_short_horizon_is_exit_2(self, capsys, horizon):

@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from privmask import oracle
 from privmask import (
     HorizonTooLarge,
     HorizonTooShort,
@@ -10,10 +12,12 @@ from privmask import (
     SingularBlock,
     SystemParams,
     consistency_report,
+    downlink_rate,
     exact_directed_info,
     exact_mi,
     finite_horizon_info,
     joint_covariance,
+    uplink_rate,
 )
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
@@ -75,7 +79,7 @@ class TestJointCovariance:
 
     def test_horizon_cap(self):
         with pytest.raises(HorizonTooLarge):
-            joint_covariance(ANCHOR, ANCHOR_MASKS, 65, ["X_1"])
+            joint_covariance(ANCHOR, ANCHOR_MASKS, 257, ["X_1"])
 
     def test_label_validation(self):
         with pytest.raises(ValueError):
@@ -165,7 +169,29 @@ class TestDirectedInfo:
 
     def test_horizon_cap(self):
         with pytest.raises(HorizonTooLarge):
-            exact_directed_info(ANCHOR, ANCHOR_MASKS, 33, "Y")
+            exact_directed_info(ANCHOR, ANCHOR_MASKS, 257, "Y")
+
+    @pytest.mark.parametrize("target", ["Y", "Xhat"])
+    @pytest.mark.parametrize("horizon", [1, 5, 40])
+    def test_three_factorizations_whatever_the_horizon(self, monkeypatch, target, horizon):
+        blocks = []
+        chol = oracle._chol
+
+        def counting(mat, block):
+            blocks.append(block)
+            return chol(mat, block)
+
+        monkeypatch.setattr(oracle, "_chol", counting)
+        exact_directed_info(ANCHOR, ANCHOR_MASKS, horizon, target)
+        assert len(blocks) == 3
+
+    def test_long_horizon_terms_reach_the_rates(self):
+        # a = 1, k = -1 is stable; by T = 200 the prediction variance has
+        # settled, so the last forward term is the steady-state uplink rate
+        di = exact_directed_info(ANCHOR, ANCHOR_MASKS, 200, "Y")
+        assert di.forward_terms[-1] == pytest.approx(uplink_rate(ANCHOR, ANCHOR_MASKS), abs=1e-12)
+        assert np.allclose(di.backward_terms, downlink_rate(ANCHOR, ANCHOR_MASKS),
+                           rtol=0, atol=1e-12)
 
 
 class TestConsistencyReport:
@@ -201,7 +227,68 @@ class TestConsistencyReport:
 
     def test_horizon_cap(self):
         with pytest.raises(HorizonTooLarge):
-            consistency_report(ANCHOR, ANCHOR_MASKS, 21)
+            consistency_report(ANCHOR, ANCHOR_MASKS, 257)
+
+    def test_estimate_deficit_saturates(self):
+        # README: the deficit saturates near 0.059 nats as T grows
+        deficit = [
+            {c.name: c for c in consistency_report(ANCHOR, ANCHOR_MASKS, T)}
+            ["mi_estimate_vs_measurement"].abs_err
+            for T in (64, 128)
+        ]
+        assert deficit[0] == pytest.approx(deficit[1], abs=1e-9)
+        assert deficit[1] == pytest.approx(0.0590501096, abs=1e-9)
+
+    def test_stable_loops_pass_at_the_cap(self):
+        for a in (0.5, 1.0, 1.5):
+            sys = SystemParams(a=a, k=-a + 0.3, w=0.05, q=1, r=1)
+            report = consistency_report(sys, MaskParams(m=0.02, n=0.05), 256)
+            assert max(c.abs_err for c in report if not c.informational) <= 1e-12
+
+
+def _mp_deficit_anchor_two_steps():
+    """I(X^2; Y^2) - I(X^2; Xhat^2) at the anchor, from 50-digit arithmetic.
+
+    Builds the loop's noise coefficients, the filter gains and the joint
+    covariance from the model equations, independently of ``privmask``.
+    """
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    a, k, w, m, n, T = mp.mpf(1), mp.mpf(-1), mp.mpf("0.05"), mp.mpf(0), mp.mpf("0.05"), 2
+    # basis [N_0, N_1, N_2, M_0, M_1, W_1, W_2]
+    var = [n] * (T + 1) + [m] * T + [w] * T
+    zero = lambda: [mp.mpf(0)] * len(var)
+    axpy = lambda c, u, v: [c * ui + vi for ui, vi in zip(u, v)]
+    x, y, u, xh = [zero()], [zero()], [zero()], [zero()]
+    y[0][0] = mp.mpf(1)
+    u[0] = [k * c for c in y[0]]
+    post = mp.mpf(0)
+    for t in range(1, T + 1):
+        xt = axpy(a, x[t - 1], u[t - 1])
+        xt[T + t] += 1  # M_{t-1}
+        xt[2 * T + t] += 1  # W_t
+        yt = list(xt)
+        yt[t] += 1  # N_t
+        s = a * a * post + m + w
+        gain = s / (s + n)
+        post = (1 - gain) ** 2 * s + gain ** 2 * n
+        pred = axpy(a, xh[t - 1], u[t - 1])
+        x.append(xt)
+        y.append(yt)
+        u.append([k * c for c in yt])
+        xh.append(axpy(gain, [yi - pi for yi, pi in zip(yt, pred)], pred))
+    cov = lambda rows: mp.matrix(
+        [[mp.fsum(r1[i] * r2[i] * var[i] for i in range(len(var))) for r2 in rows] for r1 in rows])
+    logdet = lambda rows: mp.log(mp.det(cov(rows)))
+    mi = lambda xs, zs: (logdet(xs) + logdet(zs) - logdet(xs + zs)) / 2
+    return mi(x[1:], y) - mi(x[1:], xh[1:]), mp
+
+
+def test_two_step_deficit_matches_fifty_digit_arithmetic():
+    deficit, mp = _mp_deficit_anchor_two_steps()
+    assert abs(deficit - mp.log(2 * mp.sqrt(370) / 37)) < mp.mpf(10) ** -45
+    report = {c.name: c for c in consistency_report(ANCHOR, ANCHOR_MASKS, 2)}
+    assert abs(report["mi_estimate_vs_measurement"].abs_err - float(deficit)) <= 1e-14
 
 
 @pytest.mark.parametrize("call", [

@@ -1,8 +1,8 @@
 """Tier-1 guard that the benchmark still runs against this checkout.
 
-Runs the ``montecarlo`` workload at its smoke shape with per-layer tracing
-and checks only that every output was correct and the layer mapping held;
-no timing is asserted.
+Runs each gated workload at its smoke shape with per-layer tracing and
+checks only that every output was correct and the layer mapping held; no
+timing is asserted.
 """
 
 import json
@@ -10,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_montecarlo_smoke_traced():
+@pytest.mark.parametrize("workload", ["montecarlo", "certify"])
+def test_smoke_traced(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "montecarlo", "--smoke",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--smoke",
          "--seconds", "2", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
