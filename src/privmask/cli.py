@@ -15,8 +15,10 @@ string ``inf``, never NaN; ``--bits`` converts ``*_nats`` fields to
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys as _sys
 from dataclasses import dataclass
 
@@ -46,6 +48,10 @@ _DEFAULTS = {
     "alpha_range": "0.01:100:601",
 }
 _T_DEFAULTS = {"simulate": 100_000, "verify": 10}
+
+# argparse reads only "-1" and "-0.5" as negative numbers and takes "-1e-9"
+# for an unknown option; this form also admits an exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
 @dataclass
@@ -162,7 +168,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("design", parents=[shared], help="optimal ratio, trade-off curve, masks")
     sub.add_parser("simulate", parents=[shared], help="Monte Carlo validation of cost and sigma")
     sub.add_parser("verify", parents=[shared], help="exact-oracle consistency checks")
+    for command in sub.choices.values():
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process (parsing leaves it unchanged)."""
+    return build_parser()
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
@@ -440,7 +454,7 @@ _JSON_ONLY = {"analyze", "design", "simulate"}
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args)
         if cfg.command in _JSON_ONLY and cfg.fmt == "csv":

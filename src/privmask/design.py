@@ -177,7 +177,8 @@ def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
 
 
 def _objective(sys: SystemParams, lam: float):
-    def J(alpha: float) -> float:
+    def J(alpha):
+        # an ndarray alpha scores a whole grid in one numpy evaluation
         return mi_rate_from_nnr(sys, alpha).total + lam * control_cost_rate_from_nnr(sys, alpha)
     return J
 
@@ -233,7 +234,7 @@ def tradeoff_point(sys: SystemParams, lam: float, *,
                              objective=report.mi_min)
 
     grid = np.geomspace(lo_factor * alpha_star, alpha_star, grid_points)
-    values = np.array([J(g) for g in grid])
+    values = J(grid)
     best = int(np.argmin(values))
     at_boundary = best == 0
     lo = grid[max(best - 1, 0)]
@@ -322,6 +323,6 @@ def robustness_sweep(sys: SystemParams, alpha_design: float,
 
     n_design = alpha_design * (m_vals + sys.w)
     alpha = n_design[:, None] / denom
-    mi = np.array([[mi_rate_from_nnr(sys, al).total for al in row] for row in alpha])
+    mi = mi_rate_from_nnr(sys, alpha).total
     return RobustnessGrid(m_values=m_vals, w_true_values=w_vals,
                           n_design=n_design, alpha=alpha, mi=mi)

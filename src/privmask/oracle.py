@@ -29,7 +29,6 @@ as informational rows.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -99,7 +98,8 @@ class _SignalSpace:
     """Coefficient vectors of all loop signals on the noise basis.
 
     Basis order: [N_0..N_T, M_0..M_{T-1}, W_1..W_T]; the corresponding
-    variances are on the diagonal ``self.var``.
+    variances are on the diagonal ``self.var``.  ``signals[kind][t]`` is the
+    row of ``{kind}_t`` for kind X, Y, U or Xhat, t = 0..T.
     """
 
     def __init__(self, sys: SystemParams, masks: MaskParams, horizon: int):
@@ -127,14 +127,15 @@ class _SignalSpace:
             pred = sys.a * xh[t - 1] + u[t - 1]
             l = gains[t - 1]
             xh[t] = pred + l * (y[t] - pred)
-        self._rows = {"X": x, "Y": y, "U": u, "Xhat": xh}
+        self.signals = {"X": x, "Y": y, "U": u, "Xhat": xh}
 
-    def row(self, label: str) -> np.ndarray:
-        kind, idx = _parse_label(label, self.horizon)
-        return self._rows[kind][idx]
+    def rows(self, labels: Sequence[str]) -> np.ndarray:
+        """Coefficient rows of validated signal labels, in order."""
+        picks = [_parse_label(label, self.horizon) for label in labels]
+        return np.array([self.signals[kind][idx] for kind, idx in picks])
 
-    def cov(self, labels: Sequence[str]) -> np.ndarray:
-        rows = np.array([self.row(lbl) for lbl in labels])
+    def cov(self, rows: np.ndarray) -> np.ndarray:
+        """Covariance of the signals whose coefficient rows are ``rows``."""
         return (rows * self.var) @ rows.T
 
 
@@ -151,26 +152,28 @@ def _parse_label(label: str, horizon: int) -> tuple:
 
 
 def _chol(mat: np.ndarray, block: str) -> np.ndarray:
-    """Cholesky factor with an explicit relative pivot check.
+    """Cholesky factor (LAPACK) with an explicit relative pivot check.
 
-    Raises ``SingularBlock`` naming ``block`` when any pivot falls below
-    PIVOT_RTOL times the largest diagonal entry, instead of returning a
-    factorization too imprecise for the CHECK_TOL comparisons.
+    Raises ``SingularBlock`` naming ``block`` when the factorization fails
+    or any squared pivot falls below PIVOT_RTOL times the largest diagonal
+    entry, instead of returning a factorization too imprecise for the
+    CHECK_TOL comparisons.
     """
-    a = np.array(mat, dtype=float)
-    d = a.shape[0]
+    a = np.asarray(mat, dtype=float)
     top = max(a.diagonal().max(), 0.0)
-    tol = PIVOT_RTOL * top
-    L = np.zeros_like(a)
-    for j in range(d):
-        pivot = a[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= tol:
-            raise SingularBlock(
-                f"covariance block {block} is singular or too ill-conditioned for the "
-                f"{CHECK_TOL:g} checks at pivot {j} ({pivot:.3e}, largest diagonal {top:.3e})")
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < d:
-            L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    problem = (f"covariance block {block} is singular or too ill-conditioned "
+               f"for the {CHECK_TOL:g} checks")
+    try:
+        L = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        raise SingularBlock(
+            f"{problem}: not positive definite (largest diagonal {top:.3e})") from None
+    pivots = L.diagonal() ** 2
+    small = np.flatnonzero(pivots <= PIVOT_RTOL * top)
+    if small.size:
+        j = small[0]
+        raise SingularBlock(
+            f"{problem} at pivot {j} ({pivots[j]:.3e}, largest diagonal {top:.3e})")
     return L
 
 
@@ -179,12 +182,12 @@ def _logdet(mat: np.ndarray, block: str) -> float:
     return 2.0 * float(np.log(L.diagonal()).sum())
 
 
-def _pivots(space: _SignalSpace, labels: Sequence[str], block: str) -> np.ndarray:
-    """Squared Cholesky pivots of the covariance of ``labels``, in order.
+def _pivots(space: _SignalSpace, rows: np.ndarray, block: str) -> np.ndarray:
+    """Squared Cholesky pivots of the covariance of the signals ``rows``, in order.
 
     Pivot ``j`` is the variance of signal ``j`` given signals ``0..j-1``.
     """
-    return _chol(space.cov(labels), block).diagonal() ** 2
+    return _chol(space.cov(rows), block).diagonal() ** 2
 
 
 def _check_horizon(horizon: int) -> None:
@@ -205,7 +208,7 @@ def joint_covariance(
     _check_horizon(horizon)
     labels = tuple(signals)
     space = _SignalSpace(sys, masks, horizon)
-    return JointCovariance(horizon=horizon, labels=labels, cov=space.cov(labels))
+    return JointCovariance(horizon=horizon, labels=labels, cov=space.cov(space.rows(labels)))
 
 
 def exact_mi(jc: JointCovariance, block_a: Sequence[str], block_b: Sequence[str]) -> float:
@@ -259,9 +262,9 @@ def exact_directed_info(
 def _directed_info(space: _SignalSpace, target: str) -> DirectedInformation:
     T = space.horizon
     pre = 1 if target == "Y" else 0  # Y_0 precedes X_1; Xhat starts at 1
-    zs = [f"{target}_{t}" for t in range(1 - pre, T + 1)]
-    xs = [f"X_{t}" for t in range(1, T + 1)]
-    inter = zs[:pre] + [lbl for pair in zip(xs, zs[pre:]) for lbl in pair]
+    zs = space.signals[target][1 - pre :]
+    xs = space.signals["X"][1:]
+    inter = np.concatenate([zs[:pre], np.stack([xs, zs[pre:]], axis=1).reshape(2 * T, -1)])
     z_piv = _pivots(space, zs, f"{target}^{T}")[pre:]
     x_piv = _pivots(space, xs, f"X^{T}")
     i_piv = _pivots(space, inter, f"X^{T} interleaved with {target}^{T}")
@@ -308,8 +311,9 @@ def consistency_report(
     x_block = [f"X_{t}" for t in range(1, horizon + 1)]
     y_block = [f"Y_{t}" for t in range(horizon + 1)]
     xh_block = [f"Xhat_{t}" for t in range(1, horizon + 1)]
-    labels = tuple(x_block + y_block + xh_block)
-    jc = JointCovariance(horizon=horizon, labels=labels, cov=space.cov(labels))
+    sig = space.signals
+    jc = JointCovariance(horizon=horizon, labels=tuple(x_block + y_block + xh_block),
+                         cov=space.cov(np.concatenate([sig["X"][1:], sig["Y"], sig["Xhat"][1:]])))
     mi_y = exact_mi(jc, x_block, y_block)
     mi_xh = exact_mi(jc, x_block, xh_block)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from privmask import cli
 from privmask.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -51,6 +52,15 @@ class TestAnalyze:
         assert bits["mi_bits"] == pytest.approx(nats["mi_nats"] / math.log(2), rel=1e-15)
         assert "mi_nats" not in bits
         assert bits["cost"] == nats["cost"]
+
+    @pytest.mark.parametrize("flag, value", [("--k", "-1e-9"), ("--n", "-2e-3"),
+                                             ("--k", "-1.5E+2"), ("--k", "-.5e-1")])
+    def test_negative_scientific_value_after_a_space(self, capsys, flag, value):
+        base = ["analyze", "--a", "1", "--k", "-1"]
+        spaced = run(capsys, *base, flag, value)
+        joined = run(capsys, *base, f"{flag}={value}")
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
 
     def test_missing_required_params(self, capsys):
         code, out, err = run(capsys, "analyze", "--k", "-1")
@@ -352,6 +362,49 @@ class TestOutputRoundTrip:
                              "--output", str(path))
         assert empty == ""
         assert path.read_text() == out
+
+
+def outcome(capsys, argv):
+    """Exit code (or argparse's SystemExit code), stdout and stderr of one call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    CALLS = (
+        ("analyze", "--a", "1", "--k", "-1"),
+        ("design", "--a", "0.5", "--k", "-0.4", "--lambda", "0,1"),
+        ("analyze", "--a", "1", "--k"),  # argparse error
+        ("verify", "--a", "1", "--k", "-1", "--T", "3"),
+        ("grid", "--a", "1", "--k", "-1", "--m-range", "0:0.1:2", "--n-range", "0:0.1:2",
+         "--format", "json"),
+        ("analyze", "--a", "1", "--k", "-1e-9", "--bits"),
+    )
+
+    def test_main_builds_one_parser_per_process(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            for argv in self.CALLS:
+                outcome(capsys, argv)
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_reused_parser_gives_the_bytes_of_fresh_ones(self, capsys):
+        fresh = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            fresh.append(outcome(capsys, argv))
+        assert fresh[2][0] == ("SystemExit", 2)
+        for _ in range(2):
+            assert [outcome(capsys, argv) for argv in self.CALLS] == fresh
 
 
 class TestGoldenOutputs:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from privmask import design
 from privmask import (
     EmptyInput,
     IllDefinedNnr,
@@ -15,6 +16,7 @@ from privmask import (
     ZeroGain,
     ZeroProcessNoise,
     boundary_diagnostics,
+    control_cost_rate_from_nnr,
     masks_from_nnr,
     mi_rate_from_nnr,
     min_privacy_rate,
@@ -27,6 +29,17 @@ from privmask import (
 )
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
+# the nonzero trade-off weights of the certify benchmark workload
+WORKLOAD_LAMBDAS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3, 1e4)
+
+
+def stable_system(rng):
+    """Plant with |a + k| < 0.8 and |k| >= 0.1, as the certify workload draws them."""
+    while True:
+        a = rng.uniform(-1.5, 1.5)
+        k = rng.uniform(-0.8, 0.8) - a
+        if abs(k) >= 0.1:
+            return SystemParams(a=a, k=k, w=rng.uniform(0.01, 0.5), q=1, r=1)
 
 
 def quartic(a, k, alpha):
@@ -159,6 +172,39 @@ class TestTradeoff:
         pt = tradeoff_point(sys_, 1e-3)
         assert 0 < pt.alpha <= optimal_nnr(0.0, 1e-6).alpha_star + 1e-3
 
+    def test_array_objective_matches_scalar_kernels(self):
+        # the trade-off grid is scored in one numpy evaluation; numpy's log1p
+        # and hypot may round differently from libm's, by a few ulp at most
+        rng = np.random.default_rng(20240605)
+        systems = [stable_system(rng) for _ in range(200)]
+        systems.append(SystemParams(a=0.0, k=1e-6, w=0.05, q=1, r=1))  # alpha* ~ 1e6
+        for sys_ in systems:
+            astar = optimal_nnr(sys_.a, sys_.k).alpha_star
+            grid = np.geomspace(design.TRADEOFF_LO_FACTOR * astar, astar,
+                                design.TRADEOFF_GRID_POINTS)
+            mi = np.array([mi_rate_from_nnr(sys_, float(g)).total for g in grid])
+            cost = np.array([control_cost_rate_from_nnr(sys_, float(g)) for g in grid])
+            for lam in WORKLOAD_LAMBDAS:
+                scalar = mi + lam * cost
+                values = design._objective(sys_, lam)(grid)
+                assert np.all(np.abs(values - scalar) <= 4 * np.spacing(scalar)), (sys_, lam)
+                assert np.argmin(values) == np.argmin(scalar), (sys_, lam)
+
+    def test_grid_is_not_scored_one_scalar_at_a_time(self, monkeypatch):
+        scalar_calls = []
+        kernel = design.mi_rate_from_nnr
+
+        def counting(sys_, alpha):
+            if not isinstance(alpha, np.ndarray):
+                scalar_calls.append(alpha)
+            return kernel(sys_, alpha)
+
+        monkeypatch.setattr(design, "mi_rate_from_nnr", counting)
+        for lam in (1e-4, 1.0, 1e4):
+            scalar_calls.clear()
+            tradeoff_point(ANCHOR, lam)
+            assert len(scalar_calls) < 200
+
     def test_validation(self):
         with pytest.raises(NegativeWeight):
             tradeoff_point(ANCHOR, -0.5)
@@ -203,6 +249,14 @@ class TestRobustnessSweep:
         grid = robustness_sweep(ANCHOR, 1.0, m_list=[0.0], w_true_list=[0.06])
         assert grid.mi[0, 0] == pytest.approx(
             mi_rate_from_nnr(ANCHOR, grid.alpha[0, 0]).total)
+
+    def test_cells_match_the_scalar_kernel(self):
+        sys_ = SystemParams(a=0.3, k=-0.6, w=0.2, q=1, r=1)  # a^2 < 1: both root branches
+        grid = robustness_sweep(sys_, 0.8, m_list=np.linspace(0, 2, 9),
+                                w_true_list=np.geomspace(1e-3, 5, 13))
+        for i, j in np.ndindex(grid.mi.shape):
+            scalar = mi_rate_from_nnr(sys_, float(grid.alpha[i, j])).total
+            assert grid.mi[i, j] == pytest.approx(scalar, rel=1e-14, abs=0)
 
     def test_degenerate_cell_rejected(self):
         sys = SystemParams(a=1, k=-1, w=0.05)

@@ -126,6 +126,38 @@ class TestExactMi:
             assert exact_mi(jc, x, xh) <= exact_mi(jc, x, y) + 1e-9
 
 
+def column_cholesky(mat):
+    """Reference Cholesky factor, one column at a time."""
+    a = np.array(mat, dtype=float)
+    L = np.zeros_like(a)
+    for j in range(a.shape[0]):
+        L[j, j] = math.sqrt(a[j, j] - L[j, :j] @ L[j, :j])
+        L[j + 1 :, j] = (a[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+class TestChol:
+    def test_matches_the_column_loop_on_oracle_blocks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(10):
+            sys, masks = random_tuple(rng)
+            T = int(rng.integers(1, 21))
+            labels = [f"Y_{t}" for t in range(T + 1)] + [f"X_{t}" for t in range(1, T + 1)]
+            cov = joint_covariance(sys, masks, T, labels).cov
+            L = oracle._chol(cov, "test")
+            ref = column_cholesky(cov)
+            assert np.allclose(L, ref, rtol=1e-12, atol=1e-12 * math.sqrt(cov.diagonal().max()))
+
+    def test_small_pivot_names_its_index(self):
+        with pytest.raises(SingularBlock, match=r"block B .* at pivot 1 \(1\.000e-09"):
+            oracle._chol(np.diag([1.0, 1e-9, 1.0]), "B")
+
+    def test_indefinite_block_is_singular(self):
+        # LAPACK refuses this one outright (its second pivot would be -3)
+        with pytest.raises(SingularBlock, match="block C"):
+            oracle._chol(np.array([[1.0, 2.0], [2.0, 1.0]]), "C")
+
+
 class TestDirectedInfo:
     def test_one_step_anchor_measurement_target(self):
         di = exact_directed_info(ANCHOR, ANCHOR_MASKS, 1, "Y")

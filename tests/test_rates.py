@@ -101,6 +101,22 @@ class TestMiRateFromNnr:
             mi_rate_from_nnr(ANCHOR, 0.0)
         with pytest.raises(NonPositiveAlpha):
             mi_rate_from_nnr(ANCHOR, -1.0)
+        with pytest.raises(NonPositiveAlpha):
+            mi_rate_from_nnr(ANCHOR, np.array([1.0, 0.0]))
+        with pytest.raises(NonPositiveAlpha):
+            control_cost_rate_from_nnr(ANCHOR, np.array([-1.0, 1.0]))
+
+    def test_array_alpha_matches_scalar_calls(self):
+        alphas = np.geomspace(1e-4, 1e4, 97)
+        for sys_ in (ANCHOR, SystemParams(a=0.3, k=-0.5, w=0.2, q=1, r=2)):
+            rates = mi_rate_from_nnr(sys_, alphas)
+            costs = control_cost_rate_from_nnr(sys_, alphas)
+            for i, alpha in enumerate(alphas):
+                scalar = mi_rate_from_nnr(sys_, float(alpha))
+                for field in ("uplink", "downlink", "total"):
+                    assert getattr(rates, field)[i] == pytest.approx(
+                        getattr(scalar, field), rel=4 * np.finfo(float).eps, abs=0)
+                assert costs[i] == control_cost_rate_from_nnr(sys_, float(alpha))
 
     def test_grows_unboundedly_toward_zero_alpha(self):
         values = [mi_rate_from_nnr(ANCHOR, 10.0**-e).total for e in range(1, 8)]
