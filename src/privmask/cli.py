@@ -168,6 +168,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("design", parents=[shared], help="optimal ratio, trade-off curve, masks")
     sub.add_parser("simulate", parents=[shared], help="Monte Carlo validation of cost and sigma")
     sub.add_parser("verify", parents=[shared], help="exact-oracle consistency checks")
+    # _negative_number_matcher is a private attribute of CPython's argparse
+    # (read by ArgumentParser._parse_optional in 3.11, the one version
+    # checked); test_negative_scientific_value_after_a_space fails if another
+    # release stops reading it
     for command in sub.choices.values():
         command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser

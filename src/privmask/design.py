@@ -35,8 +35,10 @@ from .errors import (
 from .params import MaskParams, SystemParams, require_stable
 from .rates import (
     control_cost_rate_from_nnr,
+    control_cost_rate_from_nnr_array,
     control_cost_rate_from_nnr_derivative,
     mi_rate_from_nnr,
+    mi_rate_from_nnr_array,
     mi_rate_from_nnr_derivative,
 )
 
@@ -177,10 +179,15 @@ def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
 
 
 def _objective(sys: SystemParams, lam: float):
-    def J(alpha):
-        # an ndarray alpha scores a whole grid in one numpy evaluation
+    def J(alpha: float) -> float:
         return mi_rate_from_nnr(sys, alpha).total + lam * control_cost_rate_from_nnr(sys, alpha)
     return J
+
+
+def _objective_on_grid(sys: SystemParams, lam: float, grid: np.ndarray) -> np.ndarray:
+    """The ``_objective`` value at every point of ``grid``, in one numpy evaluation."""
+    return (mi_rate_from_nnr_array(sys, grid).total
+            + lam * control_cost_rate_from_nnr_array(sys, grid))
 
 
 def _golden_section(J, lo: float, hi: float, tol: float) -> float:
@@ -234,7 +241,7 @@ def tradeoff_point(sys: SystemParams, lam: float, *,
                              objective=report.mi_min)
 
     grid = np.geomspace(lo_factor * alpha_star, alpha_star, grid_points)
-    values = J(grid)
+    values = _objective_on_grid(sys, lam, grid)
     best = int(np.argmin(values))
     at_boundary = best == 0
     lo = grid[max(best - 1, 0)]
@@ -323,6 +330,6 @@ def robustness_sweep(sys: SystemParams, alpha_design: float,
 
     n_design = alpha_design * (m_vals + sys.w)
     alpha = n_design[:, None] / denom
-    mi = mi_rate_from_nnr(sys, alpha).total
+    mi = mi_rate_from_nnr_array(sys, alpha).total
     return RobustnessGrid(m_values=m_vals, w_true_values=w_vals,
                           n_design=n_design, alpha=alpha, mi=mi)

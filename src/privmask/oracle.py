@@ -311,9 +311,8 @@ def consistency_report(
     x_block = [f"X_{t}" for t in range(1, horizon + 1)]
     y_block = [f"Y_{t}" for t in range(horizon + 1)]
     xh_block = [f"Xhat_{t}" for t in range(1, horizon + 1)]
-    sig = space.signals
-    jc = JointCovariance(horizon=horizon, labels=tuple(x_block + y_block + xh_block),
-                         cov=space.cov(np.concatenate([sig["X"][1:], sig["Y"], sig["Xhat"][1:]])))
+    labels = tuple(x_block + y_block + xh_block)
+    jc = JointCovariance(horizon=horizon, labels=labels, cov=space.cov(space.rows(labels)))
     mi_y = exact_mi(jc, x_block, y_block)
     mi_xh = exact_mi(jc, x_block, xh_block)
 

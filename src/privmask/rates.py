@@ -22,7 +22,12 @@ import numpy as np
 
 from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha
 from .params import MaskParams, SystemParams, require_stable
-from .riccati import prediction_covariances, solve_are, steady_state_second_moment
+from .riccati import (
+    prediction_covariances,
+    solve_are,
+    solve_are_array,
+    steady_state_second_moment,
+)
 
 
 @dataclass(frozen=True)
@@ -95,34 +100,46 @@ def mi_rate(sys: SystemParams, masks: MaskParams) -> PrivacyRates:
     )
 
 
-def _require_positive_alpha(alpha) -> None:
-    array = isinstance(alpha, np.ndarray)
-    if (alpha <= 0).any() if array else alpha <= 0:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha.min() if array else alpha}")
-
-
-def nnr_prediction_ratio(a: float, alpha):
+def nnr_prediction_ratio(a: float, alpha: float) -> float:
     """Positive root s(alpha) of s^2 - (a^2 - 1 + 1/alpha)*s - 1/alpha = 0.
 
     This is sigma/n for any mask pair on the line n = alpha*(m+w); the
-    uplink rate is 0.5*log(1 + s(alpha)).  ``alpha`` may be an ndarray
-    (see ``solve_are``).
+    uplink rate is 0.5*log(1 + s(alpha)).
     """
-    _require_positive_alpha(alpha)
+    if alpha <= 0:
+        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
     return solve_are(a, 1.0 / alpha, 1.0)
 
 
-def mi_rate_from_nnr(sys: SystemParams, alpha) -> PrivacyRates:
+def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
     """Privacy-loss rate as a function of the noise-to-noise ratio alone.
 
-    Identical to ``mi_rate`` for every mask pair with n = alpha*(m+w).  An
-    ndarray ``alpha`` gives ndarray fields, evaluated with numpy; a float
-    ``alpha`` is evaluated with :mod:`math`.
+    Identical to ``mi_rate`` for every mask pair with n = alpha*(m+w).
     """
-    xp = np if isinstance(alpha, np.ndarray) else math
     s = nnr_prediction_ratio(sys.a, alpha)
-    up = 0.5 * xp.log1p(s)
-    down = 0.5 * xp.log1p(sys.k * sys.k * alpha)
+    up = 0.5 * math.log1p(s)
+    down = 0.5 * math.log1p(sys.k * sys.k * alpha)
+    return PrivacyRates(uplink=up, downlink=down, total=up + down, divergent=False)
+
+
+def _positive_alphas(alpha) -> np.ndarray:
+    alpha = np.asarray(alpha, dtype=float)
+    if (alpha <= 0).any():
+        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha.min()}")
+    return alpha
+
+
+def mi_rate_from_nnr_array(sys: SystemParams, alpha: np.ndarray) -> PrivacyRates:
+    """``mi_rate_from_nnr`` over an ndarray of ratios, in one numpy evaluation.
+
+    The fields are ndarrays shaped like ``alpha``, each within a few ulp of
+    the scalar kernel (numpy's log1p and hypot are not bit-identical to
+    :mod:`math`'s).
+    """
+    alpha = _positive_alphas(alpha)
+    s = solve_are_array(sys.a, 1.0 / alpha, 1.0)
+    up = 0.5 * np.log1p(s)
+    down = 0.5 * np.log1p(sys.k * sys.k * alpha)
     return PrivacyRates(uplink=up, downlink=down, total=up + down, divergent=False)
 
 
@@ -171,14 +188,23 @@ def control_cost_rate(sys: SystemParams, masks: MaskParams) -> CostRate:
     return CostRate(cost=(sys.q + sys.r * k2) * p_ss + sys.r * k2 * masks.n)
 
 
-def control_cost_rate_from_nnr(sys: SystemParams, alpha):
+def control_cost_rate_from_nnr(sys: SystemParams, alpha: float) -> float:
     """Cost rate along the m = 0 line, n = alpha*w, as a function of alpha.
 
     This is the cost that remains after the downlink mask has been removed
     (its contribution to the cost is pure overhead for a fixed ratio).
-    ``alpha`` may be an ndarray.
     """
-    _require_positive_alpha(alpha)
+    if alpha <= 0:
+        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    return _cost_from_nnr(sys, alpha)
+
+
+def control_cost_rate_from_nnr_array(sys: SystemParams, alpha: np.ndarray) -> np.ndarray:
+    """``control_cost_rate_from_nnr`` over an ndarray of ratios (same bits)."""
+    return _cost_from_nnr(sys, _positive_alphas(alpha))
+
+
+def _cost_from_nnr(sys: SystemParams, alpha):
     margin = require_stable(sys)
     k2 = sys.k * sys.k
     return (sys.q + sys.r * k2) * sys.w * (1.0 + k2 * alpha) / margin + sys.r * k2 * alpha * sys.w

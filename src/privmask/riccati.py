@@ -50,34 +50,47 @@ class SecondMoment:
     p_ss: float
 
 
-def solve_are(a: float, p, n: float):
+def solve_are(a: float, p: float, n: float) -> float:
     """Closed-form nonnegative root of the prediction-covariance equation.
 
     Parameters are the state coefficient ``a``, the unpredicted input
-    variance ``p = m + w`` and the uplink mask variance ``n``.  ``p`` may
-    be an ndarray, and the root then broadcasts over it; a float ``p`` is
-    evaluated with :mod:`math`, so scalar callers keep libm's last bits.
+    variance ``p = m + w`` and the uplink mask variance ``n``.
 
     ``n = 0`` is accepted and returns ``p`` (the noiseless-uplink limit).
     ``p = n = 0`` returns 0 for every ``a``: with no noise at all the state
     is known exactly, which is also the limit as p -> 0 or n -> 0.
     """
-    array = isinstance(p, np.ndarray)
-    if n < 0 or ((p < 0).any() if array else p < 0):
-        raise NegativeInput(f"p and n must be >= 0, got p={p.min() if array else p}, n={n}")
-    xp = np if array else math
+    if p < 0 or n < 0:
+        raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
     b = (a * a - 1.0) * n + p
     # hypot form avoids overflow of b*b and p*n for extreme magnitudes
-    disc = xp.hypot(b, 2.0 * xp.sqrt(p) * xp.sqrt(n))
-    # c is the root of larger magnitude, free of cancellation.  For b >= 0 it
-    # is the positive root; for b < 0 the direct formula would cancel, and
-    # the positive root follows from the product of the roots, -p*n (abs
-    # keeps a -0.0 input from giving -0.0).
-    c = 0.5 * (abs(b) + disc)
-    if not array:
-        return c if b >= 0 else abs(p * n) / c
+    disc = math.hypot(b, 2.0 * math.sqrt(p) * math.sqrt(n))
+    if b >= 0:
+        return 0.5 * (b + disc)
+    # b < 0: the direct formula cancels; recover the positive root from the
+    # product of roots (-p*n) via the stable negative root.
+    r_neg = 0.5 * (b - disc)
+    return 0.0 if p * n == 0 else (-p * n) / r_neg
+
+
+def solve_are_array(a: float, p: np.ndarray, n: float) -> np.ndarray:
+    """``solve_are`` broadcast over an ndarray ``p``, evaluated with numpy.
+
+    Each root is within a few ulp of the scalar one (numpy's hypot is not
+    bit-identical to :mod:`math`'s).  The scalar kernel stays separate so
+    its many callers pay no dispatch.
+    """
+    p = np.asarray(p, dtype=float)
+    if n < 0 or (p < 0).any():
+        raise NegativeInput(f"p and n must be >= 0, got min p={p.min()}, n={n}")
+    b = (a * a - 1.0) * n + p
+    disc = np.hypot(b, 2.0 * np.sqrt(p) * np.sqrt(n))
+    # c is the root of larger magnitude, free of cancellation: the positive
+    # root where b >= 0; where b < 0 the positive root is the product of the
+    # roots, -p*n, over the negative root -c (abs keeps p = -0.0 from giving -0.0)
+    c = 0.5 * (np.abs(b) + disc)
     with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 only where b = 0
-        return np.where(b >= 0, c, abs(p * n) / c)
+        return np.where(b >= 0, c, np.abs(p * n) / c)
 
 
 def kalman_gain(s_pred: float, n: float) -> float:

@@ -20,6 +20,7 @@ from privmask import (
     nnr_prediction_ratio,
     uplink_rate,
 )
+from privmask.rates import control_cost_rate_from_nnr_array, mi_rate_from_nnr_array
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
 ANCHOR_MASKS = MaskParams(m=0, n=0.05)
@@ -102,15 +103,15 @@ class TestMiRateFromNnr:
         with pytest.raises(NonPositiveAlpha):
             mi_rate_from_nnr(ANCHOR, -1.0)
         with pytest.raises(NonPositiveAlpha):
-            mi_rate_from_nnr(ANCHOR, np.array([1.0, 0.0]))
+            mi_rate_from_nnr_array(ANCHOR, np.array([1.0, 0.0]))
         with pytest.raises(NonPositiveAlpha):
-            control_cost_rate_from_nnr(ANCHOR, np.array([-1.0, 1.0]))
+            control_cost_rate_from_nnr_array(ANCHOR, np.array([-1.0, 1.0]))
 
-    def test_array_alpha_matches_scalar_calls(self):
+    def test_array_kernels_match_scalar_calls(self):
         alphas = np.geomspace(1e-4, 1e4, 97)
         for sys_ in (ANCHOR, SystemParams(a=0.3, k=-0.5, w=0.2, q=1, r=2)):
-            rates = mi_rate_from_nnr(sys_, alphas)
-            costs = control_cost_rate_from_nnr(sys_, alphas)
+            rates = mi_rate_from_nnr_array(sys_, alphas)
+            costs = control_cost_rate_from_nnr_array(sys_, alphas)
             for i, alpha in enumerate(alphas):
                 scalar = mi_rate_from_nnr(sys_, float(alpha))
                 for field in ("uplink", "downlink", "total"):

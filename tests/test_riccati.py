@@ -15,6 +15,7 @@ from privmask import (
     solve_are,
     steady_state_second_moment,
 )
+from privmask.riccati import solve_are_array
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -41,18 +42,18 @@ class TestSolveAre:
         with pytest.raises(NegativeInput):
             solve_are(1.0, 0.1, -0.1)
 
-    def test_array_p_broadcasts_like_scalar_calls(self):
+    def test_array_kernel_matches_scalar_calls(self):
         rng = np.random.default_rng(11)
         # a^2 < 1 and a^2 > 1, small and large p, so both root branches occur
         p = np.concatenate([[0.0, 1e-300, 1e300], rng.uniform(1e-6, 3.0, 200)])
         for a in (0.0, 0.4, 1.0, 1.7):
             for n in (0.0, 1e-12, 0.3, 5.0):
-                roots = solve_are(a, p, n)
+                roots = solve_are_array(a, p, n)
                 scalar = np.array([solve_are(a, float(x), n) for x in p])
                 assert roots.shape == p.shape
                 assert np.all(np.abs(roots - scalar) <= 4 * np.spacing(scalar)), (a, n)
         with pytest.raises(NegativeInput):
-            solve_are(1.0, np.array([0.1, -0.1]), 0.1)
+            solve_are_array(1.0, np.array([0.1, -0.1]), 0.1)
 
     def test_degenerate_all_stable_vs_unstable(self):
         assert solve_are(0.5, 0.0, 0.0) == 0.0
