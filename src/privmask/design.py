@@ -16,7 +16,6 @@ numerically fragile exactly there, hence the bracketing route.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,21 +34,15 @@ from .errors import (
 from .params import MaskParams, SystemParams, require_stable
 from .rates import (
     control_cost_rate_from_nnr,
-    control_cost_rate_from_nnr_array,
     control_cost_rate_from_nnr_derivative,
     mi_rate_from_nnr,
     mi_rate_from_nnr_array,
     mi_rate_from_nnr_derivative,
 )
 
-BISECT_WIDTH = 1e-12
 RESIDUAL_RTOL = 1e-10
-TRADEOFF_GRID_POINTS = 601
 TRADEOFF_LO_FACTOR = 1e-3
-TRADEOFF_REFINE_TOL = 1e-10
 FIRST_ORDER_TOL = 1e-8
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -70,8 +63,9 @@ class DesignReport:
 class TradeoffPoint:
     """One scalarized privacy/cost optimum.
 
-    ``at_boundary`` marks a minimizer pinned at the search floor (very
-    large weights push alpha below the default grid range).
+    ``at_boundary`` marks a minimizer pinned at the search floor
+    ``TRADEOFF_LO_FACTOR * alpha*``: the objective already rises there, as
+    it does for very large weights.
     """
 
     lam: float
@@ -117,37 +111,39 @@ def _quartic(coeffs: tuple, alpha: float) -> float:
     return ((c4 * alpha + c3) * alpha * alpha + c1) * alpha + c0
 
 
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of ``f`` in [lo, hi], given f(lo) <= 0 < f(hi).
+
+    Halves the bracket until its midpoint is no longer strictly inside,
+    i.e. until lo and hi are adjacent doubles, and returns the end with the
+    smaller |f|.  The bracket shrinks at every step, so the loop ends for
+    any ``f``, one that returns NaN included.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        f_mid = f(mid)
+        if f_mid <= 0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+        mid = 0.5 * (lo + hi)
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
 def optimal_nnr(a: float, k: float) -> DesignReport:
     """Unique positive root of the optimality quartic, by bracket + bisect.
 
     The bracket starts at [0, 1] and doubles the upper end until the
-    quartic turns positive; bisection then narrows to width 1e-12 and a
-    single Newton step polishes the root.
+    quartic turns positive; ``_bisect`` then narrows it to adjacent doubles.
     """
     coeffs = quartic_coefficients(a, k)
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while _quartic(coeffs, hi) <= 0:
         hi *= 2.0
         if hi > 1e30:
             raise NoConvergence("no sign change found while bracketing the quartic root")
-    # width is relative for large roots: the absolute target can fall below
-    # one ulp there and a fixed-width loop would never terminate
-    while hi - lo > BISECT_WIDTH * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _quartic(coeffs, mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-
-    c4, c3, c1, _ = coeffs
-    slope = ((4.0 * c4 * alpha + 3.0 * c3) * alpha * alpha) + c1
-    if slope != 0:
-        polished = alpha - _quartic(coeffs, alpha) / slope
-        if lo <= polished <= hi:
-            alpha = polished
+    alpha = _bisect(lambda x: _quartic(coeffs, x), 0.0, hi)
 
     scale = max(abs(coeffs[0]) * alpha**4, abs(coeffs[1]) * alpha**3,
                 abs(coeffs[2]) * alpha, abs(coeffs[3]))
@@ -178,50 +174,18 @@ def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
     return MaskParams(m=m, n=alpha * (m + w))
 
 
-def _objective(sys: SystemParams, lam: float):
-    def J(alpha: float) -> float:
-        return mi_rate_from_nnr(sys, alpha).total + lam * control_cost_rate_from_nnr(sys, alpha)
-    return J
-
-
-def _objective_on_grid(sys: SystemParams, lam: float, grid: np.ndarray) -> np.ndarray:
-    """The ``_objective`` value at every point of ``grid``, in one numpy evaluation."""
-    return (mi_rate_from_nnr_array(sys, grid).total
-            + lam * control_cost_rate_from_nnr_array(sys, grid))
-
-
-def _golden_section(J, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1, f2 = J(x1), J(x2)
-    # the width test carries an ulp-scaled floor so intervals around large
-    # minima terminate once no representable interior points remain
-    while b - a > tol + 1e-15 * (abs(a) + abs(b)):
-        if not a < x1 < x2 < b:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = J(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = J(x2)
-    return 0.5 * (a + b)
-
-
-def tradeoff_point(sys: SystemParams, lam: float, *,
-                   grid_points: int = TRADEOFF_GRID_POINTS,
-                   lo_factor: float = TRADEOFF_LO_FACTOR,
-                   refine_tol: float = TRADEOFF_REFINE_TOL) -> TradeoffPoint:
+def tradeoff_point(sys: SystemParams, lam: float) -> TradeoffPoint:
     """Minimize privacy rate + lam * cost rate over the ratio alpha.
 
-    The search runs on a logarithmic grid over [lo_factor*alpha*, alpha*]
-    (ratios above alpha* increase both terms and are dominated), followed
-    by golden-section refinement and Newton polish on the exact objective
-    derivative.  The returned point satisfies |dJ/d(alpha)| <= 1e-8 unless
-    it sits on the search floor, which is flagged via ``at_boundary``.
+    Ratios above alpha* increase both terms and are dominated, so the
+    search runs over [TRADEOFF_LO_FACTOR*alpha*, alpha*].  The cost is
+    affine in alpha with slope c1 >= 0, so the exact derivative
+    ``dJ/d(alpha) = mi_rate_from_nnr_derivative + lam*c1`` rises through
+    zero at most once there, and the optimum is its root, found by
+    ``_bisect``.  The returned point satisfies |dJ/d(alpha)| <= 1e-8 unless
+    the derivative is already >= 0 at the floor; alpha is then the floor,
+    flagged via ``at_boundary``.  A zero ``lam*c1`` (lam = 0, q = r = 0, or
+    a product that underflows) leaves the rate alone: alpha is alpha*.
     """
     if lam < 0:
         raise NegativeWeight(f"trade-off weight must be >= 0, got {lam}")
@@ -231,51 +195,30 @@ def tradeoff_point(sys: SystemParams, lam: float, *,
             "w = 0: the cost along the m = 0 line is unrealizable (no finite "
             "ratio keeps the privacy loss bounded as m vanishes)")
 
-    report = optimal_nnr(sys.a, sys.k)
-    alpha_star = report.alpha_star
-    J = _objective(sys, lam)
-    if lam == 0:
-        # the cost term vanishes: the optimum is the quartic root itself
-        return TradeoffPoint(lam=0.0, alpha=alpha_star, mi=report.mi_min,
-                             cost=control_cost_rate_from_nnr(sys, alpha_star),
-                             objective=report.mi_min)
-
-    grid = np.geomspace(lo_factor * alpha_star, alpha_star, grid_points)
-    values = _objective_on_grid(sys, lam, grid)
-    best = int(np.argmin(values))
-    at_boundary = best == 0
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
-    alpha = _golden_section(J, lo, hi, refine_tol) if hi > lo else grid[best]
-
-    cost_slope = control_cost_rate_from_nnr_derivative(sys)
+    alpha_star = optimal_nnr(sys.a, sys.k).alpha_star
+    cost_slope = lam * control_cost_rate_from_nnr_derivative(sys)
 
     def deriv(x: float) -> float:
-        return mi_rate_from_nnr_derivative(sys, x) + lam * cost_slope
+        return mi_rate_from_nnr_derivative(sys, x) + cost_slope
 
-    # function values alone cannot localize the minimum beyond ~sqrt(eps),
-    # and central differences of the summed objective drown in cancellation
-    # for large lam; polish on the exact derivative instead
-    if not at_boundary:
-        for _ in range(8):
-            g = deriv(alpha)
-            if abs(g) <= 0.01 * FIRST_ORDER_TOL:
-                break
-            h2 = max(alpha * 1e-5, 1e-12)
-            curv = (deriv(alpha + h2) - deriv(alpha - h2)) / (2.0 * h2)
-            if curv <= 0:
-                break
-            alpha = min(max(alpha - g / curv, lo), hi)
-
-    first_order = abs(deriv(alpha))
-    if first_order > FIRST_ORDER_TOL and not at_boundary:
-        raise NoConvergence(
-            f"first-order residual {first_order:.3e} above {FIRST_ORDER_TOL} "
-            f"at alpha={alpha} (lam={lam})")
+    alpha, at_boundary = alpha_star, False
+    if cost_slope != 0:
+        floor = TRADEOFF_LO_FACTOR * alpha_star
+        at_boundary = deriv(floor) >= 0
+        if at_boundary:
+            alpha = floor
+        else:
+            alpha = _bisect(deriv, floor, alpha_star)
+            first_order = abs(deriv(alpha))
+            if not first_order <= FIRST_ORDER_TOL:  # a NaN residual fails too
+                raise NoConvergence(
+                    f"first-order residual {first_order:.3e} above {FIRST_ORDER_TOL} "
+                    f"at alpha={alpha} (lam={lam})")
 
     rate = mi_rate_from_nnr(sys, alpha)
     cost = control_cost_rate_from_nnr(sys, alpha)
-    return TradeoffPoint(lam=lam, alpha=alpha, mi=rate.total, cost=cost,
+    # abs folds a weight of -0.0 into 0.0
+    return TradeoffPoint(lam=abs(lam), alpha=alpha, mi=rate.total, cost=cost,
                          objective=rate.total + lam * cost, at_boundary=at_boundary)
 
 

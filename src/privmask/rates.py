@@ -122,13 +122,6 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
     return PrivacyRates(uplink=up, downlink=down, total=up + down, divergent=False)
 
 
-def _positive_alphas(alpha) -> np.ndarray:
-    alpha = np.asarray(alpha, dtype=float)
-    if (alpha <= 0).any():
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha.min()}")
-    return alpha
-
-
 def mi_rate_from_nnr_array(sys: SystemParams, alpha: np.ndarray) -> PrivacyRates:
     """``mi_rate_from_nnr`` over an ndarray of ratios, in one numpy evaluation.
 
@@ -136,7 +129,9 @@ def mi_rate_from_nnr_array(sys: SystemParams, alpha: np.ndarray) -> PrivacyRates
     the scalar kernel (numpy's log1p and hypot are not bit-identical to
     :mod:`math`'s).
     """
-    alpha = _positive_alphas(alpha)
+    alpha = np.asarray(alpha, dtype=float)
+    if (alpha <= 0).any():
+        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha.min()}")
     s = solve_are_array(sys.a, 1.0 / alpha, 1.0)
     up = 0.5 * np.log1p(s)
     down = 0.5 * np.log1p(sys.k * sys.k * alpha)
@@ -196,15 +191,6 @@ def control_cost_rate_from_nnr(sys: SystemParams, alpha: float) -> float:
     """
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    return _cost_from_nnr(sys, alpha)
-
-
-def control_cost_rate_from_nnr_array(sys: SystemParams, alpha: np.ndarray) -> np.ndarray:
-    """``control_cost_rate_from_nnr`` over an ndarray of ratios (same bits)."""
-    return _cost_from_nnr(sys, _positive_alphas(alpha))
-
-
-def _cost_from_nnr(sys: SystemParams, alpha):
     margin = require_stable(sys)
     k2 = sys.k * sys.k
     return (sys.q + sys.r * k2) * sys.w * (1.0 + k2 * alpha) / margin + sys.r * k2 * alpha * sys.w

@@ -93,13 +93,18 @@ def solve_are_array(a: float, p: np.ndarray, n: float) -> np.ndarray:
         return np.where(b >= 0, c, np.abs(p * n) / c)
 
 
+def _gain(s_pred: float, n: float) -> float:
+    """``kalman_gain`` without the checks, 0 where s_pred + n = 0."""
+    return s_pred / (s_pred + n) if s_pred + n > 0 else 0.0
+
+
 def kalman_gain(s_pred: float, n: float) -> float:
     """Filter gain l = s_pred/(s_pred + n) in [0, 1]."""
     if s_pred < 0 or n < 0:
         raise NegativeInput(f"s_pred and n must be >= 0, got {s_pred}, {n}")
     if s_pred + n == 0:
         raise DegenerateAll("s_pred = n = 0: gain undefined")
-    return s_pred / (s_pred + n)
+    return _gain(s_pred, n)
 
 
 def prediction_covariances(a: float, p: float, n: float, horizon: int) -> np.ndarray:
@@ -108,27 +113,28 @@ def prediction_covariances(a: float, p: float, n: float, horizon: int) -> np.nda
     Runs the exact filtering recursion (prediction, gain, measurement
     update) started from a known initial state, so S_1 = p.
     """
-    if p < 0 or n < 0:
-        raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
-    out = np.empty(horizon)
-    post = 0.0
-    for t in range(horizon):
-        s = a * a * post + p
-        out[t] = s
-        l = s / (s + n) if s + n > 0 else 0.0
-        post = (1.0 - l) ** 2 * s + l * l * n
-    return out
+    return gain_schedule(a, p, n, horizon)[0]
 
 
 def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
     """Prediction variances S_t and filter gains S_t/(S_t + n), t = 1..horizon.
 
+    One pass of the recursion behind ``prediction_covariances`` fills both.
     The gain is 0 where S_t + n = 0: with no noise at all there is nothing
     to correct.
     """
-    s = prediction_covariances(a, p, n, horizon)
-    with np.errstate(invalid="ignore"):
-        return s, np.where(s + n > 0, s / (s + n), 0.0)
+    if p < 0 or n < 0:
+        raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
+    s_pred = np.empty(horizon)
+    gains = np.empty(horizon)
+    post = 0.0
+    for t in range(horizon):
+        s = a * a * post + p
+        l = _gain(s, n)
+        s_pred[t] = s
+        gains[t] = l
+        post = (1.0 - l) ** 2 * s + l * l * n
+    return s_pred, gains
 
 
 def iterate_prediction_covariance(
@@ -163,14 +169,13 @@ def iterate_prediction_covariance(
     transient = [p]
     s = p
     for it in range(1, max_iter + 1):
-        l = s / (s + n) if s + n > 0 else 0.0
+        l = _gain(s, n)
         s_next = a * a * ((1.0 - l) ** 2 * s + l * l * n) + p
         transient.append(s_next)
         if abs(s_next - s) <= tol:
             s = s_next
-            gain = s / (s + n) if s + n > 0 else 0.0
             return RiccatiSolution(
-                sigma=s, gain=gain, transient=np.array(transient), iterations=it
+                sigma=s, gain=_gain(s, n), transient=np.array(transient), iterations=it
             )
         s = s_next
     raise NoConvergence(f"no convergence within {max_iter} iterations (a={a}, p={p}, n={n})")

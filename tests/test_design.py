@@ -16,11 +16,12 @@ from privmask import (
     ZeroGain,
     ZeroProcessNoise,
     boundary_diagnostics,
-    control_cost_rate_from_nnr,
+    control_cost_rate_from_nnr_derivative,
     masks_from_nnr,
     mi_rate_from_nnr,
     min_privacy_rate,
     nnr_of,
+    nnr_prediction_ratio,
     optimal_nnr,
     quartic_coefficients,
     robustness_sweep,
@@ -40,6 +41,34 @@ def stable_system(rng):
         k = rng.uniform(-0.8, 0.8) - a
         if abs(k) >= 0.1:
             return SystemParams(a=a, k=k, w=rng.uniform(0.01, 0.5), q=1, r=1)
+
+
+def front_point(sys_, s):
+    """(alpha, lam) of the trade-off front at s = sigma/n, in closed form.
+
+    alpha(s) = (s+1)/(s(s - a^2 + 1)) inverts the Riccati root s(alpha);
+    lam(s) = -(dmi/dalpha)/c1 zeroes the objective's derivative there, with
+    ds/dalpha = 1/(dalpha/ds) and c1 the constant slope of the cost in alpha.
+    """
+    a, k, w, q, r = sys_.a, sys_.k, sys_.w, sys_.q, sys_.r
+    b = a * a - 1.0
+    d = s * (s - b)
+    alpha = (s + 1.0) / d
+    dalpha_ds = (d - (s + 1.0) * (2.0 * s - b)) / (d * d)
+    k2 = k * k
+    dmi = 1.0 / (2.0 * (1.0 + s) * dalpha_ds) + k2 / (2.0 * (1.0 + k2 * alpha))
+    c1 = (q + r * k2) * w * k2 / (1.0 - (a + k) ** 2) + r * k2 * w
+    return alpha, -dmi / c1
+
+
+class TestBisect:
+    def test_brackets_a_root_to_adjacent_doubles(self):
+        root = design._bisect(lambda x: x * x - 2.0, 0.0, 2.0)
+        assert abs(root - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+
+    def test_terminates_on_nan(self):
+        assert 0.0 <= design._bisect(lambda x: math.nan, 0.0, 1.0) <= 1.0
+        assert 1.0 <= design._bisect(lambda x: math.nan if x > 1.5 else -1.0, 1.0, 2.0) <= 2.0
 
 
 def quartic(a, k, alpha):
@@ -172,23 +201,48 @@ class TestTradeoff:
         pt = tradeoff_point(sys_, 1e-3)
         assert 0 < pt.alpha <= optimal_nnr(0.0, 1e-6).alpha_star + 1e-3
 
-    def test_array_objective_matches_scalar_kernels(self):
-        # the trade-off grid is scored in one numpy evaluation; numpy's log1p
-        # and hypot may round differently from libm's, by a few ulp at most
+    def test_recovers_the_closed_form_front(self):
+        # needs no root finding: at s = sigma/n the ratio is alpha(s) and the
+        # weight lam(s) zeroes dJ/d(alpha) there, so tradeoff_point(lam(s))
+        # must land on alpha(s)
         rng = np.random.default_rng(20240605)
-        systems = [stable_system(rng) for _ in range(200)]
+        systems = [stable_system(rng) for _ in range(60)]
         systems.append(SystemParams(a=0.0, k=1e-6, w=0.05, q=1, r=1))  # alpha* ~ 1e6
         for sys_ in systems:
             astar = optimal_nnr(sys_.a, sys_.k).alpha_star
-            grid = np.geomspace(design.TRADEOFF_LO_FACTOR * astar, astar,
-                                design.TRADEOFF_GRID_POINTS)
-            mi = np.array([mi_rate_from_nnr(sys_, float(g)).total for g in grid])
-            cost = np.array([control_cost_rate_from_nnr(sys_, float(g)) for g in grid])
-            for lam in WORKLOAD_LAMBDAS:
-                scalar = mi + lam * cost
-                values = design._objective_on_grid(sys_, lam, grid)
-                assert np.all(np.abs(values - scalar) <= 4 * np.spacing(scalar)), (sys_, lam)
-                assert np.argmin(values) == np.argmin(scalar), (sys_, lam)
+            s_star = nnr_prediction_ratio(sys_.a, astar)
+            s_floor = nnr_prediction_ratio(sys_.a, design.TRADEOFF_LO_FACTOR * astar)
+            for u in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
+                alpha, lam = front_point(sys_, s_star * (s_floor / s_star) ** u)
+                pt = tradeoff_point(sys_, lam)
+                assert not pt.at_boundary, (sys_, lam)
+                assert pt.alpha == pytest.approx(alpha, rel=1e-12), (sys_, lam)
+
+    def test_weight_past_the_floor_pins_alpha_to_it(self):
+        rng = np.random.default_rng(11)
+        for sys_ in [ANCHOR] + [stable_system(rng) for _ in range(20)]:
+            astar = optimal_nnr(sys_.a, sys_.k).alpha_star
+            floor = design.TRADEOFF_LO_FACTOR * astar
+            alpha, lam = front_point(sys_, 2.0 * nnr_prediction_ratio(sys_.a, floor))
+            assert alpha < floor
+            pt = tradeoff_point(sys_, lam)
+            assert pt.at_boundary
+            assert pt.alpha == floor
+
+    def test_zero_cost_slope_returns_alpha_star_exactly(self):
+        astar = optimal_nnr(1.0, -1.0).alpha_star
+        free = SystemParams(a=1, k=-1, w=0.05, q=0, r=0)
+        for sys_, lam in ((free, 1.0), (free, 1e4), (ANCHOR, 5e-324)):  # 5e-324 * c1 underflows
+            assert lam * control_cost_rate_from_nnr_derivative(sys_) == 0
+            pt = tradeoff_point(sys_, lam)
+            assert pt.alpha == astar
+            assert not pt.at_boundary
+
+    def test_fields_are_plain_floats(self):
+        for lam in (0.0,) + WORKLOAD_LAMBDAS:
+            pt = tradeoff_point(ANCHOR, lam)
+            for field in ("alpha", "mi", "cost", "objective"):
+                assert type(getattr(pt, field)) is float, (lam, field)
 
     def test_grid_is_not_scored_one_scalar_at_a_time(self, monkeypatch):
         scalar_calls = []
