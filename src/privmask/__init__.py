@@ -17,7 +17,6 @@ from .design import (
     TradeoffPoint,
     boundary_diagnostics,
     masks_from_nnr,
-    min_privacy_rate,
     optimal_nnr,
     quartic_coefficients,
     robustness_sweep,
@@ -88,14 +87,6 @@ from .riccati import (
     solve_are,
     steady_state_second_moment,
 )
-from .simulation import (
-    TrajectoryBatch,
-    empirical_cost,
-    empirical_prediction_error,
-    simulate,
-    simulate_moments,
-    write_trajectories_csv,
-)
 
 __version__ = "0.1.0"
 
@@ -113,9 +104,9 @@ __all__ = [
     "JointCovariance", "DirectedInformation", "ConsistencyCheck",
     "joint_covariance", "exact_mi", "exact_directed_info", "consistency_report",
     "TrajectoryBatch", "simulate", "simulate_moments", "empirical_cost",
-    "empirical_prediction_error", "write_trajectories_csv",
+    "empirical_prediction_error",
     "DesignReport", "TradeoffPoint", "RobustnessGrid", "MaskDiagnosis",
-    "quartic_coefficients", "optimal_nnr", "min_privacy_rate", "masks_from_nnr",
+    "quartic_coefficients", "optimal_nnr", "masks_from_nnr",
     "tradeoff_point", "tradeoff_curve", "boundary_diagnostics", "robustness_sweep",
     "PrivmaskError", "ZeroGain", "NegativeVariance", "NegativeWeight",
     "IllDefinedNnr", "ZeroUplink", "NegativeInput", "DegenerateAll",
@@ -123,3 +114,11 @@ __all__ = [
     "HorizonTooShort", "SingularBlock", "NonPositiveAlpha", "ZeroProcessNoise",
     "EmptyInput", "NonPositiveCount",
 ]
+
+
+def __getattr__(name: str):
+    """The simulation names, imported on first read: that layer alone needs scipy."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulation
+    return getattr(simulation, name)

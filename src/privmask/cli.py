@@ -36,7 +36,6 @@ from .oracle import CHECK_TOL, consistency_report
 from .params import MaskParams, SystemParams
 from .rates import control_cost_rate, mi_rate, mi_rate_from_nnr, mi_rate_from_nnr_alt
 from .riccati import solve_are
-from .simulation import simulate_moments
 
 LN2 = math.log(2.0)
 
@@ -51,7 +50,8 @@ _T_DEFAULTS = {"simulate": 100_000, "verify": 10}
 
 # argparse reads only "-1" and "-0.5" as negative numbers and takes "-1e-9"
 # for an unknown option; this form also admits an exponent
-_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_FLAG = re.compile(r"--[A-Za-z][\w-]*")
 
 
 @dataclass
@@ -168,13 +168,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("design", parents=[shared], help="optimal ratio, trade-off curve, masks")
     sub.add_parser("simulate", parents=[shared], help="Monte Carlo validation of cost and sigma")
     sub.add_parser("verify", parents=[shared], help="exact-oracle consistency checks")
-    # _negative_number_matcher is a private attribute of CPython's argparse
-    # (read by ArgumentParser._parse_optional in 3.11, the one version
-    # checked); test_negative_scientific_value_after_a_space fails if another
-    # release stops reading it
-    for command in sub.choices.values():
-        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
+
+
+def _join_negative_values(argv: list) -> list:
+    """``--flag -1e-9`` as ``--flag=-1e-9``, which argparse reads as the flag's value."""
+    out = []
+    for token in argv:
+        if out and _NEGATIVE_NUMBER.fullmatch(token) and _FLAG.fullmatch(out[-1]):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 @functools.cache
@@ -405,6 +410,8 @@ def cmd_design(cfg: RunConfig) -> int:
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
+    from .simulation import simulate_moments  # loads scipy; no other command needs it
+
     sysp, masks = cfg.system, cfg.masks
     (cost, cost_se), (sigma, sigma_se) = simulate_moments(
         sysp, masks, cfg.horizon, cfg.trajectories, cfg.seed, cfg.q, cfg.r)
@@ -458,7 +465,7 @@ _JSON_ONLY = {"analyze", "design", "simulate"}
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
     try:
         cfg = load_config(args)
         if cfg.command in _JSON_ONLY and cfg.fmt == "csv":

@@ -153,11 +153,6 @@ def optimal_nnr(a: float, k: float) -> DesignReport:
                         residual=residual, mi_min=rate.total)
 
 
-def min_privacy_rate(a: float, k: float) -> float:
-    """Smallest achievable privacy-loss rate over all mask pairs, nats/step."""
-    return optimal_nnr(a, k).mi_min
-
-
 def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
     """Mask pair realizing a target ratio: n = alpha*(m+w) for the given m.
 
@@ -187,15 +182,27 @@ def tradeoff_point(sys: SystemParams, lam: float) -> TradeoffPoint:
     flagged via ``at_boundary``.  A zero ``lam*c1`` (lam = 0, q = r = 0, or
     a product that underflows) leaves the rate alone: alpha is alpha*.
     """
-    if lam < 0:
-        raise NegativeWeight(f"trade-off weight must be >= 0, got {lam}")
+    return tradeoff_curve(sys, [lam])[0]
+
+
+def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
+    """Trade-off optima for a list of weights, from one quartic solve (see ``tradeoff_point``)."""
+    lam_list = list(lambdas)
+    if not lam_list:
+        raise EmptyInput("lambda list must be nonempty")
+    for lam in lam_list:
+        if lam < 0:
+            raise NegativeWeight(f"trade-off weight must be >= 0, got {lam}")
     require_stable(sys)
     if sys.w == 0:
         raise ZeroProcessNoise(
             "w = 0: the cost along the m = 0 line is unrealizable (no finite "
             "ratio keeps the privacy loss bounded as m vanishes)")
-
     alpha_star = optimal_nnr(sys.a, sys.k).alpha_star
+    return [_tradeoff_point(sys, lam, alpha_star) for lam in lam_list]
+
+
+def _tradeoff_point(sys: SystemParams, lam: float, alpha_star: float) -> TradeoffPoint:
     cost_slope = lam * control_cost_rate_from_nnr_derivative(sys)
 
     def deriv(x: float) -> float:
@@ -220,14 +227,6 @@ def tradeoff_point(sys: SystemParams, lam: float) -> TradeoffPoint:
     # abs folds a weight of -0.0 into 0.0
     return TradeoffPoint(lam=abs(lam), alpha=alpha, mi=rate.total, cost=cost,
                          objective=rate.total + lam * cost, at_boundary=at_boundary)
-
-
-def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
-    """Pointwise trade-off optima for a list of weights."""
-    lam_list = list(lambdas)
-    if not lam_list:
-        raise EmptyInput("lambda list must be nonempty")
-    return [tradeoff_point(sys, lam) for lam in lam_list]
 
 
 def boundary_diagnostics(masks: MaskParams, w: float) -> MaskDiagnosis:

@@ -13,7 +13,6 @@ they finish.  Both are bit-reproducible for a given
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +33,6 @@ BLOCK_STEPS = 4096
 _CH_W, _CH_N, _CH_M = 0, 1, 2
 
 SIGNALS = ("x", "n", "y", "u", "m", "v", "w", "xhat_pred", "xhat")
-
-CSV_HEADER = "traj,t,x,n,y,u,m,v,w,xhat_pred,xhat,s_pred,gain"
 
 
 @dataclass(frozen=True)
@@ -84,14 +81,17 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
     x = v = u = xh = None  # state carried across block boundaries
     for t0 in range(0, horizon + 1, BLOCK_STEPS):
         steps = min(BLOCK_STEPS, horizon + 1 - t0)
-        raw = np.stack([stream.random_raw(3 * steps) for stream in streams], axis=1)
         # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
-        z = ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
-        z = z.reshape(steps, 3, n_trajectories)
-        W = np.sqrt(sys.w) * z[:, _CH_W]
-        N = np.sqrt(masks.n) * z[:, _CH_N]
-        M = np.sqrt(masks.m) * z[:, _CH_M]
-        del raw, z
+        z = np.empty((3 * steps, n_trajectories))
+        for traj, stream in enumerate(streams):
+            z[:, traj] = stream.random_raw(3 * steps) >> np.uint64(11)
+        z += 0.5
+        z *= 2.0**-53
+        ndtri(z, out=z)
+        W, N, M = (z.reshape(steps, 3, n_trajectories)[:, ch] for ch in (_CH_W, _CH_N, _CH_M))
+        W *= np.sqrt(sys.w)
+        N *= np.sqrt(masks.n)
+        M *= np.sqrt(masks.m)
         X, Y, U, V, XhP, Xh = (np.empty_like(W) for _ in range(6))
         first = 0
         if t0 == 0:
@@ -120,6 +120,8 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
         x, v, u, xh = x.copy(), v.copy(), u.copy(), xh.copy()
         yield t0, {"x": X, "n": N, "y": Y, "u": U, "m": M, "v": V, "w": W,
                    "xhat_pred": XhP, "xhat": Xh}
+        # free this block before the next one draws its noise
+        del z, X, N, Y, U, M, V, W, XhP, Xh, xt, yt, ut, vt, pred, xht
 
 
 def _check_sizes(horizon: int, n_trajectories: int) -> None:
@@ -173,6 +175,7 @@ def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
         x, u, pred = block["x"][lo:], block["u"][lo:], block["xhat_pred"][lo:]
         cost_sum += (q * x ** 2 + r * u ** 2).sum(axis=0)
         err_sum += ((x - pred) ** 2).sum(axis=0)
+        del block, x, u, pred  # let _blocks free this block before the next
     count = horizon - burn_in
     return _mean_stderr(cost_sum / count), _mean_stderr(err_sum / count)
 
@@ -220,14 +223,3 @@ def _mean_stderr(per_traj: np.ndarray) -> tuple:
         stderr = 0.0
     return mean, stderr
 
-
-def write_trajectories_csv(batch: TrajectoryBatch, fileobj: io.TextIOBase) -> None:
-    """Dump every signal of every trajectory as CSV rows."""
-    fileobj.write(CSV_HEADER + "\n")
-    for i in range(batch.n_trajectories):
-        for t in range(batch.horizon + 1):
-            vals = (batch.x[i, t], batch.n[i, t], batch.y[i, t], batch.u[i, t],
-                    batch.m[i, t], batch.v[i, t], batch.w[i, t],
-                    batch.xhat_pred[i, t], batch.xhat[i, t],
-                    batch.s_pred[t], batch.gain[t])
-            fileobj.write(f"{i},{t}," + ",".join(repr(float(v)) for v in vals) + "\n")

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -405,6 +408,30 @@ class TestParserReuse:
         assert fresh[2][0] == ("SystemExit", 2)
         for _ in range(2):
             assert [outcome(capsys, argv) for argv in self.CALLS] == fresh
+
+
+class TestLazySimulation:
+    def test_only_simulate_loads_scipy(self):
+        # a fresh interpreter, since this test process has imported scipy
+        code = textwrap.dedent("""
+            import contextlib, io, sys
+            import privmask, privmask.cli
+            privmask.cli.build_parser()
+            with contextlib.redirect_stdout(io.StringIO()):
+                for argv in (["analyze", "--a", "1", "--k", "-1"],
+                             ["design", "--a", "0.5", "--k", "-0.4", "--lambda", "0,1"],
+                             ["verify", "--a", "1", "--k", "-1", "--T", "5"]):
+                    assert privmask.cli.main(argv) == 0, argv
+            assert "scipy" not in sys.modules
+            assert privmask.simulate_moments is privmask.simulation.simulate_moments
+            from privmask import TrajectoryBatch
+            from privmask import *
+            assert simulate is privmask.simulation.simulate
+            assert "scipy" in sys.modules
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestGoldenOutputs:

@@ -19,7 +19,6 @@ from privmask import (
     control_cost_rate_from_nnr_derivative,
     masks_from_nnr,
     mi_rate_from_nnr,
-    min_privacy_rate,
     nnr_of,
     nnr_prediction_ratio,
     optimal_nnr,
@@ -129,9 +128,6 @@ class TestOptimalNnr:
             best = optimal_nnr(a, k).mi_min
             sampled = min(mi_rate_from_nnr(sys, g).total for g in grid)
             assert best <= sampled + 1e-9
-
-    def test_min_privacy_rate_shortcut(self):
-        assert min_privacy_rate(0.0, 0.5) == optimal_nnr(0.0, 0.5).mi_min
 
 
 class TestMasksFromNnr:

@@ -1,4 +1,3 @@
-import io
 import tracemalloc
 
 import numpy as np
@@ -17,10 +16,9 @@ from privmask import (
     simulate,
     simulate_moments,
     solve_are,
-    write_trajectories_csv,
 )
 from privmask import simulation
-from privmask.simulation import BLOCK_STEPS, CSV_HEADER, SIGNALS
+from privmask.simulation import BLOCK_STEPS, SIGNALS
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
 ANCHOR_MASKS = MaskParams(m=0, n=0.05)
@@ -218,21 +216,3 @@ class TestBlockBoundaries:
         with pytest.raises(UnstableClosedLoop):
             simulate_moments(SystemParams(a=0.9, k=0.2, w=0.05), ANCHOR_MASKS, 2000, 2, 1, 1.0, 1.0)
 
-
-class TestCsvDump:
-    def test_header_and_shape(self):
-        b = small_batch(horizon=4, n_trajectories=2)
-        buf = io.StringIO()
-        write_trajectories_csv(b, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == CSV_HEADER
-        assert len(lines) == 1 + 2 * 5
-
-    def test_round_trip_values(self):
-        b = small_batch(horizon=4, n_trajectories=2)
-        buf = io.StringIO()
-        write_trajectories_csv(b, buf)
-        buf.seek(0)
-        data = np.genfromtxt(buf, delimiter=",", names=True)
-        assert np.array_equal(data["x"].reshape(2, 5), b.x)
-        assert np.array_equal(data["gain"].reshape(2, 5)[0], b.gain)
