@@ -5,14 +5,15 @@ Noise generation is counter-based: every draw is a pure function of
 stream per trajectory read in a fixed layout and mapped through the inverse
 normal CDF.  A Philox stream can be read in pieces without changing it, so
 the closed loop runs time-major in blocks of ``BLOCK_STEPS`` steps: only one
-block of noise and signals is in memory at a time.  ``simulate`` copies the
-blocks into a full ``TrajectoryBatch``; ``simulate_moments`` reduces them as
-they finish.  Both are bit-reproducible for a given
-``(seed, horizon, n_trajectories)``.
+block of noise and signals is in memory at a time, in buffers every block
+reuses.  ``simulate`` copies the blocks into a full ``TrajectoryBatch``;
+``simulate_moments`` reduces them as they finish.  Both are bit-reproducible
+for a given ``(seed, horizon, n_trajectories)``.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,23 @@ class TrajectoryBatch:
     gain: np.ndarray
 
 
+def _noise(z: np.ndarray, streams: list, cols: slice, scales: dict) -> None:
+    """Fill columns ``cols`` of ``z`` (``3*steps`` rows) with scaled normal noise.
+
+    Column ``traj`` reads the next ``3*steps`` words of ``streams[traj]``.  Each
+    operation is elementwise, so any split of the columns gives the same bits.
+    """
+    part = z[:, cols]
+    for col, stream in zip(part.T, streams[cols]):
+        col[...] = stream.random_raw(len(col)) >> np.uint64(11)
+    # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
+    part += 0.5
+    part *= 2.0**-53
+    ndtri(part, out=part)
+    for ch, scale in scales.items():
+        part[ch::3] *= scale
+
+
 def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
             n_trajectories: int, seed: int, gains: np.ndarray):
     """Yield ``(t0, block)`` for consecutive time blocks of the closed loop.
@@ -73,26 +91,36 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
     array holding times ``t0 .. t0+steps-1``; ``gains[t-1]`` is the filter
     gain applied at time ``t``.  Every step does the same arithmetic, in the
     same order, as a full-horizon recursion, so the split into blocks never
-    changes a bit.
+    changes a bit.  All blocks share one set of buffers, so a block's arrays
+    are overwritten once the generator resumes: read or copy them first.
+
+    A helper thread draws the noise of the second half of the trajectories
+    while this thread draws the first, and is joined before the step loop:
+    it never runs beside the loop, which holds the GIL, nor outlives the
+    block.  Each stream is read in order by one thread, so no bit depends on
+    thread scheduling.
     """
     streams = [Philox(key=np.array([np.uint64(seed), np.uint64(traj)], dtype=np.uint64))
                for traj in range(n_trajectories)]
-    a, k = sys.a, sys.k
+    scales = {_CH_W: np.sqrt(sys.w), _CH_N: np.sqrt(masks.n), _CH_M: np.sqrt(masks.m)}
+    half = (n_trajectories + 1) // 2
+    # 0-d arrays, positional out and zip over rows keep per-step dispatch low
+    a, k = np.array(sys.a, dtype=float), np.array(sys.k, dtype=float)
+    multiply, add, subtract = np.multiply, np.add, np.subtract
+    rows = min(BLOCK_STEPS, horizon + 1)
+    # reused by every block, so no block faults in fresh pages
+    z_all = np.empty((3 * rows, n_trajectories))
+    signals_all = np.empty((6, rows, n_trajectories))
     x = v = u = xh = None  # state carried across block boundaries
     for t0 in range(0, horizon + 1, BLOCK_STEPS):
         steps = min(BLOCK_STEPS, horizon + 1 - t0)
-        # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
-        z = np.empty((3 * steps, n_trajectories))
-        for traj, stream in enumerate(streams):
-            z[:, traj] = stream.random_raw(3 * steps) >> np.uint64(11)
-        z += 0.5
-        z *= 2.0**-53
-        ndtri(z, out=z)
-        W, N, M = (z.reshape(steps, 3, n_trajectories)[:, ch] for ch in (_CH_W, _CH_N, _CH_M))
-        W *= np.sqrt(sys.w)
-        N *= np.sqrt(masks.n)
-        M *= np.sqrt(masks.m)
-        X, Y, U, V, XhP, Xh = (np.empty_like(W) for _ in range(6))
+        z = z_all[:3 * steps]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(_noise, z, streams, slice(half, None), scales)
+            _noise(z, streams, slice(0, half), scales)
+            helper.result()
+        W, N, M = (z[ch::3] for ch in (_CH_W, _CH_N, _CH_M))
+        X, Y, U, V, XhP, Xh = signals_all[:, :steps]
         first = 0
         if t0 == 0:
             W[0] = 0.0  # no process noise acts before t = 1
@@ -102,26 +130,25 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
             V[0] = U[0] + M[0]
             x, v, u, xh = X[0], V[0], U[0], Xh[0]
             first = 1
-        for j in range(first, steps):
-            xt, yt, ut, vt, pred, xht = X[j], Y[j], U[j], V[j], XhP[j], Xh[j]
-            np.multiply(a, x, out=xt)
+        for xt, yt, ut, vt, pred, xht, wj, nj, mj, gj in zip(
+                *(arr[first:] for arr in (X, Y, U, V, XhP, Xh, W, N, M)),
+                gains[t0 + first - 1:t0 + steps - 1]):
+            multiply(a, x, xt)
             xt += v
-            xt += W[j]
-            np.add(xt, N[j], out=yt)
-            np.multiply(k, yt, out=ut)
-            np.add(ut, M[j], out=vt)
-            np.multiply(a, xh, out=pred)
+            xt += wj
+            add(xt, nj, yt)
+            multiply(k, yt, ut)
+            add(ut, mj, vt)
+            multiply(a, xh, pred)
             pred += u
-            np.subtract(yt, pred, out=xht)
-            xht *= gains[t0 + j - 1]
+            subtract(yt, pred, xht)
+            xht *= gj
             xht += pred
             x, v, u, xh = xt, vt, ut, xht
-        # copies, so the carry does not keep this block's arrays alive
+        # copies, since the next block overwrites these rows
         x, v, u, xh = x.copy(), v.copy(), u.copy(), xh.copy()
         yield t0, {"x": X, "n": N, "y": Y, "u": U, "m": M, "v": V, "w": W,
                    "xhat_pred": XhP, "xhat": Xh}
-        # free this block before the next one draws its noise
-        del z, X, N, Y, U, M, V, W, XhP, Xh, xt, yt, ut, vt, pred, xht
 
 
 def _check_sizes(horizon: int, n_trajectories: int) -> None:
@@ -138,7 +165,8 @@ def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
     The result is bit-identical for a fixed ``(seed, horizon,
     n_trajectories)``: each trajectory owns an independent noise stream and
     the recursion never couples trajectories.  ``workers`` is accepted for
-    compatibility and ignored; results never depended on it.
+    compatibility and ignored: the noise is always drawn on this thread and
+    one helper thread, and results do not depend on thread scheduling.
     """
     _check_sizes(horizon, n_trajectories)
     s_seq, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
@@ -170,12 +198,16 @@ def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
     _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
     cost_sum = np.zeros(n_trajectories)
     err_sum = np.zeros(n_trajectories)
+    scratch = np.empty((2, min(BLOCK_STEPS, horizon + 1), n_trajectories))
     for t0, block in _blocks(sys, masks, horizon, n_trajectories, seed, gains):
         lo = max(burn_in + 1 - t0, 0)  # first row with t > burn_in
         x, u, pred = block["x"][lo:], block["u"][lo:], block["xhat_pred"][lo:]
-        cost_sum += (q * x ** 2 + r * u ** 2).sum(axis=0)
-        err_sum += ((x - pred) ** 2).sum(axis=0)
-        del block, x, u, pred  # let _blocks free this block before the next
+        c1, c2 = scratch[:, :len(x)]
+        # q*x**2 + r*u**2 and (x - pred)**2 into scratch rows every block reuses
+        np.multiply(q, np.square(x, out=c1), out=c1)
+        np.multiply(r, np.square(u, out=c2), out=c2)
+        cost_sum += np.add(c1, c2, out=c1).sum(axis=0)
+        err_sum += np.square(np.subtract(x, pred, out=c1), out=c1).sum(axis=0)
     count = horizon - burn_in
     return _mean_stderr(cost_sum / count), _mean_stderr(err_sum / count)
 

@@ -423,6 +423,7 @@ class TestLazySimulation:
                              ["verify", "--a", "1", "--k", "-1", "--T", "5"]):
                     assert privmask.cli.main(argv) == 0, argv
             assert "scipy" not in sys.modules
+            assert "concurrent.futures" not in sys.modules
             assert privmask.simulate_moments is privmask.simulation.simulate_moments
             from privmask import TrajectoryBatch
             from privmask import *

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from privmask import (
     solve_are,
 )
 from privmask import simulation
+from privmask.riccati import gain_schedule
 from privmask.simulation import BLOCK_STEPS, SIGNALS
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
@@ -206,6 +208,20 @@ class TestBlockBoundaries:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 32 * 3000
 
+    def test_streaming_memory_holds_one_block(self, monkeypatch):
+        # The working set is about 12 arrays of BLOCK_STEPS x n_trajectories
+        # float64.  Keeping one block alive while the next is allocated adds
+        # a constant, which test_streaming_memory_flat_in_horizon cannot see.
+        block, n = 1024, 32
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", block)
+        tracemalloc.start()
+        try:
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 4 * block + 100, n, 3, 1.0, 1.0, burn_in=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 12 * block * n * 8
+
     def test_guards(self):
         with pytest.raises(NonPositiveCount):
             simulate(ANCHOR, ANCHOR_MASKS, 10, 0, seed=1)
@@ -216,3 +232,88 @@ class TestBlockBoundaries:
         with pytest.raises(UnstableClosedLoop):
             simulate_moments(SystemParams(a=0.9, k=0.2, w=0.05), ANCHOR_MASKS, 2000, 2, 1, 1.0, 1.0)
 
+
+def reference_paths(sys, masks, horizon, n_trajectories, seed):
+    """The closed loop on one thread, one time step at a time: ``(T+1, n)`` arrays."""
+    z = np.empty((horizon + 1, 3, n_trajectories))
+    for i in range(n_trajectories):
+        key = np.array([np.uint64(seed), np.uint64(i)], dtype=np.uint64)
+        raw = Philox(key=key).random_raw(3 * (horizon + 1))
+        uniform = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        z[:, :, i] = ndtri(uniform).reshape(horizon + 1, 3)
+    w, n, m = np.sqrt(sys.w) * z[:, 0], np.sqrt(masks.n) * z[:, 1], np.sqrt(masks.m) * z[:, 2]
+    w[0] = 0.0
+    x, y, u, v, pred, xhat = (np.zeros_like(w) for _ in range(6))
+    _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
+    y[0] = n[0]
+    u[0] = sys.k * y[0]
+    v[0] = u[0] + m[0]
+    for t in range(1, horizon + 1):
+        x[t] = sys.a * x[t - 1] + v[t - 1] + w[t]
+        y[t] = x[t] + n[t]
+        u[t] = sys.k * y[t]
+        v[t] = u[t] + m[t]
+        pred[t] = sys.a * xhat[t - 1] + u[t - 1]
+        xhat[t] = (y[t] - pred[t]) * gains[t - 1] + pred[t]
+    return {"x": x, "n": n, "y": y, "u": u, "m": m, "v": v, "w": w,
+            "xhat_pred": pred, "xhat": xhat}
+
+
+SPLIT_BLOCK = 8
+
+
+class TestTwoThreadNoise:
+    """The noise is drawn in two column halves on two threads; no bit may move."""
+
+    # 1 leaves the helper's half empty; 3 and 65 make one half a column wider.
+    # 2*SPLIT_BLOCK - 1 ends on a block edge, 2*SPLIT_BLOCK one step past it.
+    @pytest.mark.parametrize("n_trajectories", [1, 2, 3, 65])
+    @pytest.mark.parametrize("horizon", [2 * SPLIT_BLOCK - 1, 2 * SPLIT_BLOCK])
+    def test_bit_identical_to_one_thread(self, monkeypatch, n_trajectories, horizon):
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", SPLIT_BLOCK)
+        sys = SystemParams(a=0.9, k=-0.5, w=0.05, q=1.5, r=0.5)
+        masks = MaskParams(m=0.0, n=0.05)  # a zero-variance channel
+        ref = reference_paths(sys, masks, horizon, n_trajectories, seed=7)
+        b = simulate(sys, masks, horizon, n_trajectories, seed=7)
+        for field in SIGNALS:
+            assert np.array_equal(getattr(b, field), ref[field].T), field
+
+        burn_in = 3
+        cost_sum = np.zeros(n_trajectories)
+        err_sum = np.zeros(n_trajectories)
+        for t0 in range(0, horizon + 1, SPLIT_BLOCK):
+            rows = slice(max(t0, burn_in + 1), t0 + SPLIT_BLOCK)
+            x, u, pred = ref["x"][rows], ref["u"][rows], ref["xhat_pred"][rows]
+            cost_sum += (sys.q * x ** 2 + sys.r * u ** 2).sum(axis=0)
+            err_sum += ((x - pred) ** 2).sum(axis=0)
+        count = horizon - burn_in
+        expected = (simulation._mean_stderr(cost_sum / count),
+                    simulation._mean_stderr(err_sum / count))
+        assert simulate_moments(sys, masks, horizon, n_trajectories, 7, sys.q, sys.r,
+                                burn_in=burn_in) == expected
+
+    def _generator(self, horizon=100):
+        _, gains = gain_schedule(ANCHOR.a, ANCHOR_MASKS.m + ANCHOR.w, ANCHOR_MASKS.n, horizon)
+        return simulation._blocks(ANCHOR, ANCHOR_MASKS, horizon, 5, 1, gains)
+
+    def test_no_thread_outlives_simulate_moments(self):
+        before = threading.active_count()
+        simulate_moments(ANCHOR, ANCHOR_MASKS, 2 * BLOCK_STEPS, 5, 1, 1.0, 1.0)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_an_early_close(self, monkeypatch):
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", 16)
+        before = threading.active_count()
+        blocks = self._generator()
+        next(blocks)
+        assert threading.active_count() == before  # no helper runs beside the consumer
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_raising_consumer(self, monkeypatch):
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", 16)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError):
+            for _ in self._generator():
+                raise RuntimeError("consumer failed")
+        assert threading.active_count() == before
