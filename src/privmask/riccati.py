@@ -121,7 +121,10 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
 
     One pass of the recursion behind ``prediction_covariances`` fills both.
     The gain is 0 where S_t + n = 0: with no noise at all there is nothing
-    to correct.
+    to correct.  The recursion's whole state is the posterior variance, so
+    once that repeats exactly (same value, same sign of zero) every later
+    step repeats too: the pass stops there and fills the rest, with the
+    same bits as running to the end.
     """
     if p < 0 or n < 0:
         raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
@@ -133,7 +136,11 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
         l = _gain(s, n)
         s_pred[t] = s
         gains[t] = l
-        post = (1.0 - l) ** 2 * s + l * l * n
+        prev, post = post, (1.0 - l) ** 2 * s + l * l * n
+        if post == prev and math.copysign(1.0, post) == math.copysign(1.0, prev):
+            s_pred[t + 1:] = s
+            gains[t + 1:] = l
+            break
     return s_pred, gains
 
 

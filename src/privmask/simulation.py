@@ -28,7 +28,10 @@ DEFAULT_BURN_IN = 1000
 
 # time steps per block: bounds the working set at ~12 arrays of
 # BLOCK_STEPS x n_trajectories float64, whatever the horizon
-BLOCK_STEPS = 4096
+BLOCK_STEPS = 1024
+
+# trajectories whose noise is converted together in one contiguous block
+_GROUP = 8
 
 # fixed channel layout inside each trajectory's raw stream: slot 3*t + channel
 _CH_W, _CH_N, _CH_M = 0, 1, 2
@@ -66,21 +69,28 @@ class TrajectoryBatch:
     gain: np.ndarray
 
 
-def _noise(z: np.ndarray, streams: list, cols: slice, scales: dict) -> None:
-    """Fill columns ``cols`` of ``z`` (``3*steps`` rows) with scaled normal noise.
+def _noise(z: np.ndarray, streams: list, lo: int, hi: int, scales: np.ndarray,
+           work: np.ndarray) -> None:
+    """Fill columns ``lo:hi`` of ``z`` (``3*steps`` rows) with scaled normal noise.
 
-    Column ``traj`` reads the next ``3*steps`` words of ``streams[traj]``.  Each
-    operation is elementwise, so any split of the columns gives the same bits.
+    Column ``traj`` reads the next ``3*steps`` words of ``streams[traj]``.
+    ``_GROUP`` trajectories at a time are converted and scaled in contiguous
+    rows of ``work``, then copied into ``z``; ``scales`` holds each row's
+    channel scale.  Each operation is elementwise, so any split of the
+    columns gives the same bits.
     """
-    part = z[:, cols]
-    for col, stream in zip(part.T, streams[cols]):
-        col[...] = stream.random_raw(len(col)) >> np.uint64(11)
-    # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
-    part += 0.5
-    part *= 2.0**-53
-    ndtri(part, out=part)
-    for ch, scale in scales.items():
-        part[ch::3] *= scale
+    words = len(z)
+    for g0 in range(lo, hi, _GROUP):
+        g1 = min(g0 + _GROUP, hi)
+        part = work[:g1 - g0, :words]
+        for row, stream in zip(part, streams[g0:g1]):
+            row[...] = stream.random_raw(words) >> np.uint64(11)
+        # top 53 bits -> uniform strictly inside (0, 1), then inverse normal CDF
+        part += 0.5
+        part *= 2.0**-53
+        ndtri(part, out=part)
+        part *= scales[:words]
+        z[:, g0:g1] = part.T
 
 
 def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
@@ -94,6 +104,12 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
     changes a bit.  All blocks share one set of buffers, so a block's arrays
     are overwritten once the generator resumes: read or copy them first.
 
+    Each step's ``x, xhat, v, u, y`` are adjacent rows of one slab, so one
+    ``multiply`` and one ``add`` give ``a*x + v`` and ``a*xhat + u`` (the
+    prediction) together; the filter then corrects ``xhat`` in place through
+    one scratch row.  ``xhat_pred`` is rebuilt after the loop by the same two
+    operations over the whole block.  Each distinct gain is one 0-d array.
+
     A helper thread draws the noise of the second half of the trajectories
     while this thread draws the first, and is joined before the step loop:
     it never runs beside the loop, which holds the GIL, nor outlives the
@@ -102,25 +118,34 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
     """
     streams = [Philox(key=np.array([np.uint64(seed), np.uint64(traj)], dtype=np.uint64))
                for traj in range(n_trajectories)]
-    scales = {_CH_W: np.sqrt(sys.w), _CH_N: np.sqrt(masks.n), _CH_M: np.sqrt(masks.m)}
+    rows = min(BLOCK_STEPS, horizon + 1)
+    scales = np.empty((rows, 3))  # the scale of each noise row, slot 3*t + channel
+    scales[:, [_CH_W, _CH_N, _CH_M]] = np.sqrt([sys.w, masks.n, masks.m])
+    scales = scales.reshape(-1)
     half = (n_trajectories + 1) // 2
     # 0-d arrays, positional out and zip over rows keep per-step dispatch low
     a, k = np.array(sys.a, dtype=float), np.array(sys.k, dtype=float)
     multiply, add, subtract = np.multiply, np.add, np.subtract
-    rows = min(BLOCK_STEPS, horizon + 1)
     # reused by every block, so no block faults in fresh pages
     z_all = np.empty((3 * rows, n_trajectories))
-    signals_all = np.empty((6, rows, n_trajectories))
-    x = v = u = xh = None  # state carried across block boundaries
+    work = np.empty((2, _GROUP, 3 * rows))  # one conversion block per noise thread
+    # slab[1 + i] holds rows x, xhat, v, u, y of the block's step i;
+    # slab[0] carries the last step of the previous block
+    slab = np.empty((rows + 1, 5, n_trajectories))
+    pred_all = np.empty((rows, n_trajectories))
+    scratch = np.empty(n_trajectories)
     for t0 in range(0, horizon + 1, BLOCK_STEPS):
         steps = min(BLOCK_STEPS, horizon + 1 - t0)
         z = z_all[:3 * steps]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            helper = pool.submit(_noise, z, streams, slice(half, None), scales)
-            _noise(z, streams, slice(0, half), scales)
+            helper = pool.submit(_noise, z, streams, half, n_trajectories, scales, work[1])
+            _noise(z, streams, 0, half, scales, work[0])
             helper.result()
         W, N, M = (z[ch::3] for ch in (_CH_W, _CH_N, _CH_M))
-        X, Y, U, V, XhP, Xh = signals_all[:, :steps]
+        S = slab[:steps + 1]
+        XXh, VU = S[:, 0:2], S[:, 2:4]
+        X, Xh, V, U, Y = (S[1:, i] for i in range(5))
+        XhP = pred_all[:steps]
         first = 0
         if t0 == 0:
             W[0] = 0.0  # no process noise acts before t = 1
@@ -128,25 +153,27 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
             Y[0] = N[0]
             U[0] = k * Y[0]
             V[0] = U[0] + M[0]
-            x, v, u, xh = X[0], V[0], U[0], Xh[0]
             first = 1
-        for xt, yt, ut, vt, pred, xht, wj, nj, mj, gj in zip(
-                *(arr[first:] for arr in (X, Y, U, V, XhP, Xh, W, N, M)),
-                gains[t0 + first - 1:t0 + steps - 1]):
-            multiply(a, x, xt)
-            xt += v
-            xt += wj
+        gs = gains[t0 + first - 1:t0 + steps - 1].tolist()
+        shared = {g: np.array(g) for g in set(gs)}  # equal gains share one 0-d array
+        gs = [shared[g] for g in gs]
+        xx, vu = XXh[first], VU[first]
+        for xxt, vut, xt, xht, yt, ut, vt, wj, nj, mj, gj in zip(
+                XXh[first + 1:], VU[first + 1:],
+                *(arr[first:] for arr in (X, Xh, Y, U, V, W, N, M)), gs):
+            multiply(a, xx, xxt)  # a*x, a*xhat
+            add(xxt, vu, xxt)  # x <- a*x + v, xhat <- a*xhat + u (the prediction)
+            add(xt, wj, xt)
             add(xt, nj, yt)
             multiply(k, yt, ut)
             add(ut, mj, vt)
-            multiply(a, xh, pred)
-            pred += u
-            subtract(yt, pred, xht)
-            xht *= gj
-            xht += pred
-            x, v, u, xh = xt, vt, ut, xht
-        # copies, since the next block overwrites these rows
-        x, v, u, xh = x.copy(), v.copy(), u.copy(), xh.copy()
+            subtract(yt, xht, scratch)
+            multiply(scratch, gj, scratch)
+            add(xht, scratch, xht)
+            xx, vu = xxt, vut
+        multiply(a, S[first:steps, 1], XhP[first:])
+        add(XhP[first:], S[first:steps, 3], XhP[first:])
+        S[0] = S[steps]  # carried into the next block
         yield t0, {"x": X, "n": N, "y": Y, "u": U, "m": M, "v": V, "w": W,
                    "xhat_pred": XhP, "xhat": Xh}
 
@@ -189,27 +216,37 @@ def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
     Returns ``((cost, cost_se), (sigma, sigma_se))`` for the same paths that
     ``simulate`` with these arguments produces, without ever holding the full
     batch: memory grows with ``n_trajectories * BLOCK_STEPS``, and the only
-    allocation that grows with the horizon is the shared gain schedule.  The
-    per-trajectory sums run in another order than the full-batch
-    estimators, so results agree with them to rounding, not bit for bit.
+    allocation that grows with the horizon is the shared gain schedule.
+    Each trajectory's terms are added in time order in one sequential sum
+    carried across blocks, so the result does not depend on the block
+    length.  The full-batch estimators sum in another order, so results
+    agree with them to rounding, not bit for bit.
     """
     _check_sizes(horizon, n_trajectories)
     _check_moment_preconditions(sys, horizon, burn_in)
     _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
-    cost_sum = np.zeros(n_trajectories)
-    err_sum = np.zeros(n_trajectories)
-    scratch = np.empty((2, min(BLOCK_STEPS, horizon + 1), n_trajectories))
+    # per step: the cost terms of every trajectory, then their squared errors
+    terms = np.empty((min(BLOCK_STEPS, horizon + 1), 2, n_trajectories))
+    running = np.zeros(2 * n_trajectories)
     for t0, block in _blocks(sys, masks, horizon, n_trajectories, seed, gains):
         lo = max(burn_in + 1 - t0, 0)  # first row with t > burn_in
         x, u, pred = block["x"][lo:], block["u"][lo:], block["xhat_pred"][lo:]
-        c1, c2 = scratch[:, :len(x)]
-        # q*x**2 + r*u**2 and (x - pred)**2 into scratch rows every block reuses
-        np.multiply(q, np.square(x, out=c1), out=c1)
-        np.multiply(r, np.square(u, out=c2), out=c2)
-        cost_sum += np.add(c1, c2, out=c1).sum(axis=0)
-        err_sum += np.square(np.subtract(x, pred, out=c1), out=c1).sum(axis=0)
+        if not len(x):
+            continue  # the block lies wholly inside the burn-in
+        c = terms[:len(x)]
+        cost, err = c[:, 0], c[:, 1]
+        # q*x**2 + r*u**2 and (x - pred)**2
+        np.multiply(q, np.square(x, out=cost), out=cost)
+        np.multiply(r, np.square(u, out=err), out=err)
+        np.add(cost, err, out=cost)
+        np.square(np.subtract(x, pred, out=err), out=err)
+        # rows of 2n >= 2 columns reduce row after row, never pairwise
+        c = c.reshape(len(x), -1)
+        np.add(c[0], running, out=c[0])
+        np.add.reduce(c, axis=0, out=running)
     count = horizon - burn_in
-    return _mean_stderr(cost_sum / count), _mean_stderr(err_sum / count)
+    return (_mean_stderr(running[:n_trajectories] / count),
+            _mean_stderr(running[n_trajectories:] / count))
 
 
 def _check_moment_preconditions(sys: SystemParams, horizon: int, burn_in: int) -> None:

@@ -15,7 +15,7 @@ from privmask import (
     solve_are,
     steady_state_second_moment,
 )
-from privmask.riccati import solve_are_array
+from privmask.riccati import _gain, gain_schedule, solve_are_array
 
 GOLDEN = (1 + math.sqrt(5)) / 2
 
@@ -157,6 +157,48 @@ class TestPredictionCovariances:
         assert s[1] == pytest.approx(0.075)
         # converging toward the golden-ratio root
         assert abs(s[2] - 0.05 * GOLDEN) < abs(s[1] - 0.05 * GOLDEN)
+
+
+def full_schedule(a, p, n, horizon):
+    """``gain_schedule`` without its early stop: every step of the recursion."""
+    s_pred, gains = np.empty(horizon), np.empty(horizon)
+    post = 0.0
+    for t in range(horizon):
+        s = a * a * post + p
+        l = _gain(s, n)
+        s_pred[t], gains[t] = s, l
+        post = (1.0 - l) ** 2 * s + l * l * n
+    return s_pred, gains
+
+
+# the posterior variance of this plant ends in a two-step cycle of last bits,
+# so it never repeats from one step to the next
+NEVER_SETTLES = (-0.6571286931664613, 0.0005768443638769796, 0.0008813993627586025)
+
+
+class TestGainSchedule:
+    @pytest.mark.parametrize("a, p, n", [
+        (0.9, 0.07, 0.05),
+        (1.0, 0.05, 0.05),
+        (0.5, 0.0, 0.0),  # p = n = 0
+        (1.3, 0.0, 0.0),
+        (0.5, -0.0, 0.0),  # a negative zero p
+        (0.7, 0.2, 0.0),  # n = 0
+        (1.2, 0.2, 0.0),  # n = 0 with |a| >= 1
+        (-1.5, 0.1, 0.3),  # |a| >= 1
+        (1.0, 1e-9, 10.0),  # slow to settle
+        NEVER_SETTLES,
+    ])
+    @pytest.mark.parametrize("horizon", [1, 2, 7, 3000])
+    def test_early_stop_matches_the_full_recursion(self, a, p, n, horizon):
+        got = gain_schedule(a, p, n, horizon)
+        want = full_schedule(a, p, n, horizon)
+        for g, w in zip(got, want):  # bytes compare the sign of zero too
+            assert g.tobytes() == w.tobytes()
+
+    def test_never_settling_schedule_has_no_repeat(self):
+        _, gains = gain_schedule(*NEVER_SETTLES, 3000)
+        assert (np.diff(gains[-100:]) != 0).all()
 
 
 class TestSecondMoment:

@@ -233,6 +233,64 @@ class TestBlockBoundaries:
             simulate_moments(SystemParams(a=0.9, k=0.2, w=0.05), ANCHOR_MASKS, 2000, 2, 1, 1.0, 1.0)
 
 
+MOMENT_HORIZON = 4396  # two blocks of 4096 steps
+
+
+class TestStreamingMoments:
+    """``simulate_moments`` sums each trajectory in time order across blocks."""
+
+    # 1000 ends inside a block; with 1024-step blocks 1022 leaves one step of
+    # the first block and 1023 none of it, as 4095 does with 4096-step blocks;
+    # with 7-step blocks 1021 ends on an edge and 1022 one step past it
+    @pytest.mark.parametrize("burn_in", [1000, 1021, 1022, 1023, 1024, 4095])
+    @pytest.mark.parametrize("n_trajectories", [1, 3])
+    def test_block_length_irrelevant(self, monkeypatch, burn_in, n_trajectories):
+        results = []
+        for block in (7, 1024, 4096):
+            monkeypatch.setattr(simulation, "BLOCK_STEPS", block)
+            results.append(simulate_moments(ANCHOR, ANCHOR_MASKS, MOMENT_HORIZON,
+                                            n_trajectories, 5, 1.5, 0.5, burn_in=burn_in))
+        assert results[0] == results[1] == results[2]
+
+    def test_memory_at_the_production_shape(self):
+        # 64 trajectories over three blocks and a part of a fourth
+        tracemalloc.start()
+        try:
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 3 * BLOCK_STEPS + 100, 64, 3, 1.0, 1.0,
+                             burn_in=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_nine_ufunc_calls_per_step(self, monkeypatch):
+        calls = []
+
+        def counting(ufunc):
+            def call(*args, **kwargs):
+                calls.append(ufunc.__name__)
+                return ufunc(*args, **kwargs)
+            return call
+
+        class CountingNumpy:
+            multiply, add, subtract = (staticmethod(counting(f))
+                                       for f in (np.multiply, np.add, np.subtract))
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(simulation, "BLOCK_STEPS", 8)
+        monkeypatch.setattr(simulation, "np", CountingNumpy())
+        counts = []
+        # three blocks each: 8 + 8 + 2 and 8 + 8 + 8 time steps
+        for horizon in (17, 23):
+            _, gains = gain_schedule(ANCHOR.a, ANCHOR_MASKS.m + ANCHOR.w, ANCHOR_MASKS.n, horizon)
+            calls.clear()
+            assert len(list(simulation._blocks(ANCHOR, ANCHOR_MASKS, horizon, 5, 1, gains))) == 3
+            counts.append(len(calls))
+        assert counts[1] - counts[0] == 9 * (23 - 17)
+
+
 def reference_paths(sys, masks, horizon, n_trajectories, seed):
     """The closed loop on one thread, one time step at a time: ``(T+1, n)`` arrays."""
     z = np.empty((horizon + 1, 3, n_trajectories))
@@ -281,11 +339,10 @@ class TestTwoThreadNoise:
         burn_in = 3
         cost_sum = np.zeros(n_trajectories)
         err_sum = np.zeros(n_trajectories)
-        for t0 in range(0, horizon + 1, SPLIT_BLOCK):
-            rows = slice(max(t0, burn_in + 1), t0 + SPLIT_BLOCK)
-            x, u, pred = ref["x"][rows], ref["u"][rows], ref["xhat_pred"][rows]
-            cost_sum += (sys.q * x ** 2 + sys.r * u ** 2).sum(axis=0)
-            err_sum += ((x - pred) ** 2).sum(axis=0)
+        for t in range(burn_in + 1, horizon + 1):  # one sequential sum per trajectory
+            x, u, pred = ref["x"][t], ref["u"][t], ref["xhat_pred"][t]
+            cost_sum += sys.q * x ** 2 + sys.r * u ** 2
+            err_sum += (x - pred) ** 2
         count = horizon - burn_in
         expected = (simulation._mean_stderr(cost_sum / count),
                     simulation._mean_stderr(err_sum / count))
