@@ -24,7 +24,6 @@ from .design import (
     tradeoff_point,
 )
 from .errors import (
-    DegenerateAll,
     DegenerateMasks,
     EmptyInput,
     HorizonTooLarge,
@@ -41,7 +40,6 @@ from .errors import (
     UnstableClosedLoop,
     ZeroGain,
     ZeroProcessNoise,
-    ZeroUplink,
 )
 from .oracle import (
     ConsistencyCheck,
@@ -54,11 +52,9 @@ from .oracle import (
 )
 from .params import (
     MaskParams,
-    Nnr,
     StabilityCheck,
     SystemParams,
     closed_loop_stable,
-    nnr_of,
     require_stable,
 )
 from .rates import (
@@ -82,7 +78,6 @@ from .riccati import (
     SecondMoment,
     gain_schedule,
     iterate_prediction_covariance,
-    kalman_gain,
     prediction_covariances,
     solve_are,
     steady_state_second_moment,
@@ -91,11 +86,9 @@ from .riccati import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SystemParams", "MaskParams", "Nnr", "StabilityCheck", "nnr_of",
-    "closed_loop_stable", "require_stable",
-    "RiccatiSolution", "SecondMoment", "solve_are", "kalman_gain",
-    "prediction_covariances", "gain_schedule", "iterate_prediction_covariance",
-    "steady_state_second_moment",
+    "SystemParams", "MaskParams", "StabilityCheck", "closed_loop_stable", "require_stable",
+    "RiccatiSolution", "SecondMoment", "solve_are", "prediction_covariances",
+    "gain_schedule", "iterate_prediction_covariance", "steady_state_second_moment",
     "PrivacyRates", "CostRate", "FiniteHorizonInfo", "uplink_rate",
     "downlink_rate", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
     "mi_rate_from_nnr_derivative", "nnr_prediction_ratio", "control_cost_rate",
@@ -109,10 +102,9 @@ __all__ = [
     "quartic_coefficients", "optimal_nnr", "masks_from_nnr",
     "tradeoff_point", "tradeoff_curve", "boundary_diagnostics", "robustness_sweep",
     "PrivmaskError", "ZeroGain", "NegativeVariance", "NegativeWeight",
-    "IllDefinedNnr", "ZeroUplink", "NegativeInput", "DegenerateAll",
-    "NoConvergence", "UnstableClosedLoop", "DegenerateMasks", "HorizonTooLarge",
-    "HorizonTooShort", "SingularBlock", "NonPositiveAlpha", "ZeroProcessNoise",
-    "EmptyInput", "NonPositiveCount",
+    "IllDefinedNnr", "NegativeInput", "NoConvergence", "UnstableClosedLoop",
+    "DegenerateMasks", "HorizonTooLarge", "HorizonTooShort", "SingularBlock",
+    "NonPositiveAlpha", "ZeroProcessNoise", "EmptyInput", "NonPositiveCount",
 ]
 
 

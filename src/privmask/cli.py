@@ -6,10 +6,10 @@ Subcommands: ``analyze``, ``grid``, ``alpha-sweep``, ``design``,
 codes: 0 success, 1 verification failure, 2 usage/validation error (with a
 machine-readable JSON error object on stderr).
 
-Serialization rules: numeric fields are written with full double precision
-(shortest round-trip form); divergent metrics serialize as the literal
-string ``inf``, never NaN; ``--bits`` converts ``*_nats`` fields to
-``*_bits`` by dividing by ln 2 at the output boundary only.
+Serialization rules, applied in one place (``_emit``): numeric fields are
+written with full double precision (shortest round-trip form); divergent
+metrics serialize as the literal string ``inf``, never NaN; ``--bits``
+converts ``*_nats`` fields to ``*_bits`` by dividing by ln 2.
 """
 
 from __future__ import annotations
@@ -254,64 +254,41 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------- output
 
 
-def _fmt_num(x) -> str:
-    """Full-precision text form; infinities as the literal 'inf'."""
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return repr(x)
+def _plain(value, bits: bool):
+    """``value`` in plain JSON types, with units and divergence decided here alone.
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonable(v) for key, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        return "inf" if math.isinf(obj) and obj > 0 else ("-inf" if math.isinf(obj) else float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    return obj
-
-
-def _convert_bits(obj):
-    """Rename *_nats keys to *_bits and divide their values by ln 2."""
-    if isinstance(obj, dict):
+    Under ``bits``, a ``*_nats`` key becomes ``*_bits`` and its number is
+    divided by ln 2.  numpy's float64 scalars become Python floats, and
+    infinities the strings ``"inf"`` and ``"-inf"``.
+    """
+    if isinstance(value, float):  # numpy's float64 is a float subclass: the common case first
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return float(value)
+    if isinstance(value, dict):
         out = {}
-        for key, v in obj.items():
-            if key.endswith("_nats") and isinstance(v, (int, float, np.floating)):
-                out[key[: -len("_nats")] + "_bits"] = float(v) / LN2
-            else:
-                out[key] = _convert_bits(v)
+        for key, v in value.items():
+            if bits and key.endswith("_nats"):
+                key, v = key[:-len("_nats")] + "_bits", v / LN2
+            out[key] = _plain(v, bits)
         return out
-    if isinstance(obj, list):
-        return [_convert_bits(v) for v in obj]
-    return obj
+    if isinstance(value, list):
+        return [_plain(v, bits) for v in value]
+    return value
 
 
-def _emit_json(cfg: RunConfig, payload: dict) -> None:
-    if cfg.bits:
-        payload = _convert_bits(payload)
-    text = json.dumps(_jsonable(payload), indent=2) + "\n"
-    _write(cfg, text)
-
-
-def _emit_csv(cfg: RunConfig, header: list, rows: list) -> None:
-    if cfg.bits:
-        idx = [i for i, name in enumerate(header) if name.endswith("_nats")]
-        header = [h[:-5] + "_bits" if h.endswith("_nats") else h for h in header]
-        rows = [[v / LN2 if i in idx and isinstance(v, float) and math.isfinite(v) else v
-                 for i, v in enumerate(row)] for row in rows]
-    lines = ["# schema=1", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_num(v) if isinstance(v, (float, np.floating))
-                              else str(v) for v in row))
-    _write(cfg, "\n".join(lines) + "\n")
-
-
-def _write(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: RunConfig, report: dict, table: str | None = None) -> None:
+    """Write ``report`` as JSON, or as CSV of the rows ``report[table]`` unless ``--format json``."""
+    report = _plain(report, cfg.bits)
+    if table is None or cfg.fmt == "json":
+        text = json.dumps(report, indent=2) + "\n"
+    else:
+        rows = report[table]
+        lines = ["# schema=1", ",".join(rows[0])]
+        # str of a float is its shortest round-trip form, as repr is
+        lines += [",".join(["true" if v is True else "false" if v is False else str(v)
+                            for v in row.values()]) for row in rows]
+        text = "\n".join(lines) + "\n"
     if cfg.output:
         with open(cfg.output, "w") as fh:
             fh.write(text)
@@ -325,31 +302,21 @@ def _write(cfg: RunConfig, text: str) -> None:
 def cmd_analyze(cfg: RunConfig) -> int:
     sysp, masks = cfg.system, cfg.masks
     rates = mi_rate(sysp, masks)
-    payload = {
+    _emit(cfg, {
         "sigma": solve_are(cfg.a, cfg.m + cfg.w, cfg.n),
         "uplink_nats": rates.uplink,
         "downlink_nats": rates.downlink,
         "mi_nats": rates.total,
         "cost": control_cost_rate(sysp, masks).cost,
         "diagnostics": boundary_diagnostics(masks, cfg.w).value,
-    }
-    _emit_json(cfg, payload)
+    })
     return 0
-
-
-def _emit_table(cfg: RunConfig, header: list, rows: list) -> None:
-    if cfg.fmt == "json":
-        payload = {"schema": 1, "rows": [dict(zip(header, row)) for row in rows]}
-        _emit_json(cfg, payload)
-    else:
-        _emit_csv(cfg, header, rows)
 
 
 def cmd_grid(cfg: RunConfig) -> int:
     sysp = cfg.system
     m_lo, m_hi, m_count = cfg.m_range
     n_lo, n_hi, n_count = cfg.n_range
-    header = ["m", "n", "alpha", "sigma", "uplink_nats", "downlink_nats", "mi_nats", "cost"]
     rows = []
     for m in np.linspace(m_lo, m_hi, m_count):
         for n in np.linspace(n_lo, n_hi, n_count):
@@ -360,10 +327,11 @@ def cmd_grid(cfg: RunConfig) -> int:
             else:
                 alpha = math.inf if masks.n > 0 else 0.0
             rates = mi_rate(sysp, masks)
-            rows.append([masks.m, masks.n, alpha, solve_are(sysp.a, p, masks.n),
-                         rates.uplink, rates.downlink, rates.total,
-                         control_cost_rate(sysp, masks).cost])
-    _emit_table(cfg, header, rows)
+            rows.append({"m": masks.m, "n": masks.n, "alpha": alpha,
+                         "sigma": solve_are(sysp.a, p, masks.n),
+                         "uplink_nats": rates.uplink, "downlink_nats": rates.downlink,
+                         "mi_nats": rates.total, "cost": control_cost_rate(sysp, masks).cost})
+    _emit(cfg, {"schema": 1, "rows": rows}, table="rows")
     return 0
 
 
@@ -376,25 +344,28 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
         if lo <= 0:
             raise PrivmaskError(f"--alpha-range lower end must be > 0, got {lo}")
         alphas = np.geomspace(lo, hi, count)
-    header = ["alpha", "uplink_nats", "downlink_nats", "mi_nats", "mi_nats_alt"]
+    if not np.isfinite(alphas).all():
+        raise PrivmaskError("--alpha and --alpha-range must give finite ratios")
     rows = []
     for alpha in alphas:
         rates = mi_rate_from_nnr(sysp, float(alpha))
-        rows.append([float(alpha), rates.uplink, rates.downlink, rates.total,
-                     mi_rate_from_nnr_alt(sysp, float(alpha))])
-    _emit_table(cfg, header, rows)
+        rows.append({"alpha": float(alpha), "uplink_nats": rates.uplink,
+                     "downlink_nats": rates.downlink, "mi_nats": rates.total,
+                     "mi_nats_alt": mi_rate_from_nnr_alt(sysp, float(alpha))})
+    _emit(cfg, {"schema": 1, "rows": rows}, table="rows")
     return 0
 
 
 def cmd_design(cfg: RunConfig) -> int:
-    report = optimal_nnr(cfg.a, cfg.k)
-    points = tradeoff_curve(cfg.system, cfg.lambdas)
+    sysp = cfg.system  # validates every parameter before the quartic reads a and k
+    report = optimal_nnr(sysp.a, sysp.k)
+    points = tradeoff_curve(sysp, cfg.lambdas)
+    recommended = masks_from_nnr(report.alpha_star, cfg.w, cfg.m)
     if cfg.m == 0:
         _sys.stderr.write(
             "warning: recommended masks use m = 0; the achieved noise ratio is then "
             "maximally sensitive to errors in w (pass --m to add a downlink mask)\n")
-    recommended = masks_from_nnr(report.alpha_star, cfg.w, cfg.m)
-    payload = {
+    _emit(cfg, {
         "alpha_star": report.alpha_star,
         "residual": report.residual,
         "mi_min_nats": report.mi_min,
@@ -404,8 +375,7 @@ def cmd_design(cfg: RunConfig) -> int:
             for pt in points
         ],
         "recommended": {"m": recommended.m, "n": recommended.n},
-    }
-    _emit_json(cfg, payload)
+    })
     return 0
 
 
@@ -418,7 +388,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     cf_cost = control_cost_rate(sysp, masks).cost
     cf_sigma = solve_are(cfg.a, cfg.m + cfg.w, cfg.n)
     ok = abs(cost - cf_cost) <= 3 * cost_se and abs(sigma - cf_sigma) <= 3 * sigma_se
-    payload = {
+    _emit(cfg, {
         "empirical_cost": cost,
         "cost_stderr": cost_se,
         "closed_form_cost": cf_cost,
@@ -426,28 +396,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "sigma_stderr": sigma_se,
         "closed_form_sigma": cf_sigma,
         "pass": bool(ok),
-    }
-    _emit_json(cfg, payload)
+    })
     return 0
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     report = consistency_report(cfg.system, cfg.masks, cfg.horizon)
-    header = ["name", "lhs", "rhs", "abs_err", "pass", "gating"]
-    rows = [[c.name, c.lhs, c.rhs, c.abs_err, str(c.passed).lower(),
-             str(not c.informational).lower()] for c in report]
-    if cfg.fmt == "json":
-        payload = {
-            "tolerance": CHECK_TOL,
-            "checks": [
-                {"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "abs_err": c.abs_err,
-                 "pass": c.passed, "gating": not c.informational}
-                for c in report
-            ],
-        }
-        _emit_json(cfg, payload)
-    else:
-        _emit_csv(cfg, header, rows)
+    checks = [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "abs_err": c.abs_err,
+               "pass": bool(c.passed), "gating": not c.informational} for c in report]
+    _emit(cfg, {"tolerance": CHECK_TOL, "checks": checks}, table="checks")
     return 0 if all(c.passed for c in report if not c.informational) else 1
 
 
@@ -470,13 +427,12 @@ def main(argv=None) -> int:
         cfg = load_config(args)
         if cfg.command in _JSON_ONLY and cfg.fmt == "csv":
             raise PrivmaskError(f"{cfg.command} emits a JSON report; --format csv is not available")
-        return _COMMANDS[cfg.command](cfg)
-    except PrivmaskError as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        _sys.stderr.write(json.dumps(err) + "\n")
-        return 2
-    except OSError as exc:
-        _sys.stderr.write(json.dumps({"error": "OSError", "message": str(exc)}) + "\n")
+        # overflow shows in-band as inf or as a typed error, never as numpy's warnings
+        with np.errstate(all="ignore"):
+            return _COMMANDS[cfg.command](cfg)
+    except (PrivmaskError, OSError) as exc:
+        kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+        _sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
         return 2
 
 

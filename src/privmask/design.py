@@ -16,6 +16,7 @@ numerically fragile exactly there, hence the bracketing route.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .errors import (
     NegativeWeight,
     NoConvergence,
     NonPositiveAlpha,
+    PrivmaskError,
     ZeroGain,
     ZeroProcessNoise,
 )
@@ -103,6 +105,9 @@ def quartic_coefficients(a: float, k: float) -> tuple:
     if k == 0:
         raise ZeroGain("feedback gain k must be nonzero")
     k2 = k * k
+    if not (a * a * a * a < math.inf and 0 < k2 * k2 < math.inf):  # NaN fails too
+        raise PrivmaskError(
+            f"the optimality quartic needs finite a^4 and k^4 > 0, got a={a!r}, k={k!r}")
     return ((a * a - 1.0) ** 2, 2.0 * (a * a + 1.0), -2.0 / k2, -1.0 / (k2 * k2))
 
 

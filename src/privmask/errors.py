@@ -26,16 +26,8 @@ class IllDefinedNnr(PrivmaskError):
     """m + w = 0: the noise-to-noise ratio n/(m+w) is undefined."""
 
 
-class ZeroUplink(PrivmaskError):
-    """n = 0: no uplink mask, the noise-to-noise ratio degenerates to 0."""
-
-
 class NegativeInput(PrivmaskError):
     """A quantity that must be nonnegative (variance-like) is negative."""
-
-
-class DegenerateAll(PrivmaskError):
-    """All noise sources are zero where at least one is required."""
 
 
 class NoConvergence(PrivmaskError):

@@ -169,7 +169,7 @@ def _chol(mat: np.ndarray, block: str) -> np.ndarray:
         raise SingularBlock(
             f"{problem}: not positive definite (largest diagonal {top:.3e})") from None
     pivots = L.diagonal() ** 2
-    small = np.flatnonzero(pivots <= PIVOT_RTOL * top)
+    small = np.flatnonzero(~(pivots > PIVOT_RTOL * top))  # a NaN pivot is too small too
     if small.size:
         j = small[0]
         raise SingularBlock(

@@ -1,4 +1,4 @@
-"""Validated parameter containers and the noise-to-noise reparameterization.
+"""Validated parameter containers and the closed-loop stability guard.
 
 Conventions used throughout the package:
 
@@ -17,14 +17,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
-    IllDefinedNnr,
     NegativeVariance,
     NegativeWeight,
-    NonPositiveAlpha,
     PrivmaskError,
     UnstableClosedLoop,
     ZeroGain,
-    ZeroUplink,
 )
 
 
@@ -60,6 +57,8 @@ class SystemParams:
             _require_finite(name, getattr(self, name))
         if self.k == 0:
             raise ZeroGain("feedback gain k must be nonzero")
+        # every closed form squares a and k
+        _require_finite("a*a + k*k", self.a * self.a + self.k * self.k)
         if self.w < 0:
             raise NegativeVariance(f"process-noise variance w={self.w} < 0")
         if self.q < 0 or self.r < 0:
@@ -86,48 +85,9 @@ class MaskParams:
             raise NegativeVariance(f"mask variances must be >= 0, got m={self.m}, n={self.n}")
 
 
-@dataclass(frozen=True)
-class Nnr:
-    """Noise-to-noise ratio alpha = n/(m+w) together with p = m+w.
-
-    ``p`` is the combined variance the cloud cannot predict one step ahead
-    (downlink mask plus process noise).  An ``Nnr`` only exists for
-    ``alpha > 0`` and ``p > 0``.
-    """
-
-    alpha: float
-    p: float
-
-    def __post_init__(self) -> None:
-        _require_finite("alpha", self.alpha)
-        _require_finite("p", self.p)
-        if self.alpha <= 0:
-            raise NonPositiveAlpha(f"alpha must be > 0, got {self.alpha}")
-        if self.p <= 0:
-            raise IllDefinedNnr(f"p = m + w must be > 0, got {self.p}")
-
-
 class StabilityCheck(NamedTuple):
     stable: bool
     margin: float
-
-
-def nnr_of(masks: MaskParams, w: float) -> Nnr:
-    """Noise-to-noise ratio of a mask pair under process-noise variance w.
-
-    Raises ``IllDefinedNnr`` when m + w = 0 and ``ZeroUplink`` when n = 0;
-    in both regimes the ratio does not characterize the privacy loss (it is
-    unbounded, see ``design.boundary_diagnostics``).
-    """
-    _require_finite("w", w)
-    if w < 0:
-        raise NegativeVariance(f"process-noise variance w={w} < 0")
-    p = masks.m + w
-    if p == 0:
-        raise IllDefinedNnr("m + w = 0: noise-to-noise ratio is undefined")
-    if masks.n == 0:
-        raise ZeroUplink("n = 0: noise-to-noise ratio degenerates to 0")
-    return Nnr(alpha=masks.n / p, p=p)
 
 
 def closed_loop_stable(sys: SystemParams) -> StabilityCheck:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAll, NegativeInput, NoConvergence
+from .errors import NegativeInput, NoConvergence
 from .params import MaskParams, SystemParams, closed_loop_stable
 
 DEFAULT_TOL = 1e-12
@@ -94,17 +94,8 @@ def solve_are_array(a: float, p: np.ndarray, n: float) -> np.ndarray:
 
 
 def _gain(s_pred: float, n: float) -> float:
-    """``kalman_gain`` without the checks, 0 where s_pred + n = 0."""
+    """Filter gain l = s_pred/(s_pred + n), 0 where s_pred + n = 0."""
     return s_pred / (s_pred + n) if s_pred + n > 0 else 0.0
-
-
-def kalman_gain(s_pred: float, n: float) -> float:
-    """Filter gain l = s_pred/(s_pred + n) in [0, 1]."""
-    if s_pred < 0 or n < 0:
-        raise NegativeInput(f"s_pred and n must be >= 0, got {s_pred}, {n}")
-    if s_pred + n == 0:
-        raise DegenerateAll("s_pred = n = 0: gain undefined")
-    return _gain(s_pred, n)
 
 
 def prediction_covariances(a: float, p: float, n: float, horizon: int) -> np.ndarray:
@@ -122,25 +113,29 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
     One pass of the recursion behind ``prediction_covariances`` fills both.
     The gain is 0 where S_t + n = 0: with no noise at all there is nothing
     to correct.  The recursion's whole state is the posterior variance, so
-    once that repeats exactly (same value, same sign of zero) every later
-    step repeats too: the pass stops there and fills the rest, with the
+    once that repeats exactly (same value, same sign of zero) the steps
+    repeat too.  Some plants settle into a two-step cycle of last bits
+    rather than a fixed point, so the pass compares with the posterior two
+    steps back, which a fixed point also passes one step later.  It stops
+    there and fills the rest with the repeating pair of steps, with the
     same bits as running to the end.
     """
     if p < 0 or n < 0:
         raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
     s_pred = np.empty(horizon)
     gains = np.empty(horizon)
-    post = 0.0
+    post2, post1 = math.nan, 0.0  # the posterior two steps back (none yet) and one step back
     for t in range(horizon):
-        s = a * a * post + p
+        s = a * a * post1 + p
         l = _gain(s, n)
         s_pred[t] = s
         gains[t] = l
-        prev, post = post, (1.0 - l) ** 2 * s + l * l * n
-        if post == prev and math.copysign(1.0, post) == math.copysign(1.0, prev):
-            s_pred[t + 1:] = s
-            gains[t + 1:] = l
+        post = (1.0 - l) ** 2 * s + l * l * n
+        if post == post2 and math.copysign(1.0, post) == math.copysign(1.0, post2):
+            s_pred[t + 1::2], s_pred[t + 2::2] = s_pred[t - 1], s
+            gains[t + 1::2], gains[t + 2::2] = gains[t - 1], l
             break
+        post2, post1 = post1, post
     return s_pred, gains
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .errors import HorizonTooShort, NonPositiveCount
+from .errors import HorizonTooShort, NonPositiveCount, PrivmaskError
 from .params import MaskParams, SystemParams, require_stable
 from .riccati import gain_schedule
 
@@ -178,11 +178,13 @@ def _blocks(sys: SystemParams, masks: MaskParams, horizon: int,
                    "xhat_pred": XhP, "xhat": Xh}
 
 
-def _check_sizes(horizon: int, n_trajectories: int) -> None:
+def _check_inputs(horizon: int, n_trajectories: int, seed: int) -> None:
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
     if n_trajectories < 1:
         raise NonPositiveCount(f"n_trajectories must be >= 1, got {n_trajectories}")
+    if not 0 <= seed < 2**64:  # one word of the Philox key
+        raise PrivmaskError(f"seed must be in 0..2**64-1, got {seed}")
 
 
 def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
@@ -195,7 +197,7 @@ def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
     compatibility and ignored: the noise is always drawn on this thread and
     one helper thread, and results do not depend on thread scheduling.
     """
-    _check_sizes(horizon, n_trajectories)
+    _check_inputs(horizon, n_trajectories, seed)
     s_seq, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
     full = {name: np.empty((n_trajectories, horizon + 1)) for name in SIGNALS}
     for t0, block in _blocks(sys, masks, horizon, n_trajectories, seed, gains):
@@ -222,7 +224,7 @@ def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
     length.  The full-batch estimators sum in another order, so results
     agree with them to rounding, not bit for bit.
     """
-    _check_sizes(horizon, n_trajectories)
+    _check_inputs(horizon, n_trajectories, seed)
     _check_moment_preconditions(sys, horizon, burn_in)
     _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)
     # per step: the cost terms of every trajectory, then their squared errors

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from privmask import cli
 from privmask.cli import main
@@ -464,3 +467,74 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, *case["argv"])
         assert code == case["exit"]
         assert out == case["stdout"]
+
+
+NUMBERS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "-0.4", "2", "-1e-9", "1e-300", "1e150",
+                           "1e300", "inf", "nan"])
+RANGES = st.sampled_from(["0:0.5:3", "0.01:1:2", "0:0:1", "1e-3:1e3:3", "-1:1:2", "1:0:3",
+                          "0:1:0", "0:1:-2", "oops", "1:2", "0:inf:2", "nan:1:2"])
+HORIZONS = {"simulate": ["-5", "0", "1001", "1200"], "verify": ["-1", "0", "1", "2", "5", "257"]}
+
+
+@st.composite
+def argvs(draw):
+    """A command line argparse accepts: each value has the flag's type, and ranges use ``=``."""
+    command = draw(st.sampled_from(["analyze", "grid", "alpha-sweep", "design", "simulate",
+                                    "verify"]))
+    argv = [command]
+    dropped = draw(st.sampled_from([None] * 8 + ["--a", "--k"]))
+    for flag in ("--a", "--k", "--w", "--q", "--r", "--m", "--n"):
+        if flag in ("--a", "--k") and flag != dropped or draw(st.booleans()):
+            argv += [flag, draw(NUMBERS)]
+    if command == "grid":
+        argv += [f"--m-range={draw(RANGES)}", f"--n-range={draw(RANGES)}"]
+    elif command == "alpha-sweep":
+        argv += draw(st.one_of(st.tuples(st.just("--alpha"), NUMBERS),
+                               RANGES.map(lambda r: (f"--alpha-range={r}",))))
+    elif command == "design":
+        argv += ["--lambda", draw(st.sampled_from(["0", "0,1", "1,100000", "", "-1", "nan",
+                                                   "inf", "a,b"]))]
+    if command in HORIZONS:
+        argv += ["--T", draw(st.sampled_from(HORIZONS[command]))]
+    if command == "simulate":
+        argv += ["--trajectories", draw(st.sampled_from(["-1", "0", "2", "3", "4"])),
+                 "--seed", draw(st.sampled_from(["-1", "0", "7", str(2**64)])),
+                 "--workers", draw(st.sampled_from(["0", "1", "3"]))]
+    argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
+    argv += draw(st.sampled_from([[], ["--bits"]]))
+    return argv
+
+
+class TestGeneratedArgv:
+    """Every well-formed command line ends in a result, a failed ``verify`` or a typed error.
+
+    argparse's own usage errors are not drawn (a value of the wrong type, a
+    flag without its value, ``-inf`` or a negative range after a space):
+    they exit 2 with argparse's usage text, not the JSON error object.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(argv=argvs())
+    # inputs that once ended in a traceback, NaN on stdout or a warning before the error
+    @example(argv=["alpha-sweep", "--a", "1", "--k", "-1", "--alpha", "inf"])
+    @example(argv=["alpha-sweep", "--a", "1", "--k", "-1", "--alpha", "nan"])
+    @example(argv=["alpha-sweep", "--a", "1", "--k", "-1", "--alpha-range=1:inf:3"])
+    @example(argv=["simulate", "--a", "0.5", "--k", "-0.4", "--T", "1001", "--trajectories", "2",
+                   "--seed", "-1"])
+    @example(argv=["grid", "--a", "1e300", "--k", "1e300", "--m-range=0:0.5:3",
+                   "--n-range=0:0.5:3"])
+    @example(argv=["design", "--a", "1e150", "--k", "1", "--lambda", "0"])
+    @example(argv=["design", "--a", "0.5", "--k", "1e-90", "--lambda", "0"])
+    @example(argv=["design", "--a", "-0.4", "--k", "-1e-9", "--w", "1e300", "--lambda", "0"])
+    @example(argv=["verify", "--a", "1e150", "--k", "1e150", "--n", "1e150", "--T", "5"])
+    def test_outcome_is_a_result_or_a_typed_error(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)  # an exception here is the traceback the CLI must never show
+        assert code in (0, 1, 2)
+        assert code != 1 or argv[0] == "verify"
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1
+            assert set(json.loads(lines[0])) == {"error", "message"}
+        assert "nan" not in out.getvalue().lower()

@@ -4,16 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from privmask import (
-    IllDefinedNnr,
     MaskParams,
     NegativeVariance,
     NegativeWeight,
     PrivmaskError,
     SystemParams,
     ZeroGain,
-    ZeroUplink,
     closed_loop_stable,
-    nnr_of,
 )
 
 
@@ -49,55 +46,6 @@ def test_mask_params_rejects_negative():
         MaskParams(m=-0.01, n=0.1)
     with pytest.raises(NegativeVariance):
         MaskParams(m=0.0, n=-0.1)
-
-
-def test_nnr_of_basic_values():
-    nnr = nnr_of(MaskParams(m=0, n=0.05), w=0.05)
-    assert nnr.alpha == pytest.approx(1.0, abs=0)
-    assert nnr.p == pytest.approx(0.05, abs=0)
-    nnr = nnr_of(MaskParams(m=0.05, n=0.2), w=0.05)
-    assert nnr.alpha == pytest.approx(2.0)
-    assert nnr.p == pytest.approx(0.1)
-
-
-def test_nnr_of_degenerate_inputs():
-    with pytest.raises(IllDefinedNnr):
-        nnr_of(MaskParams(m=0, n=0.1), w=0)
-    with pytest.raises(ZeroUplink):
-        nnr_of(MaskParams(m=0.1, n=0), w=0.05)
-
-
-@given(
-    m=st.floats(0, 10, allow_nan=False),
-    n=st.floats(1e-6, 10),
-    w=st.floats(1e-6, 10),
-    c_exp=st.integers(-30, 30),
-)
-def test_nnr_scale_invariance_exact_for_binary_scales(m, n, w, c_exp):
-    # powers of two rescale every float exactly, so alpha must be bit-equal
-    c = 2.0**c_exp
-    base = nnr_of(MaskParams(m=m, n=n), w=w)
-    scaled = nnr_of(MaskParams(m=c * m, n=c * n), w=c * w)
-    assert scaled.alpha == base.alpha
-
-
-def test_nnr_overflowing_ratio_is_rejected():
-    # a subnormal m+w with a large n overflows the ratio; the container
-    # refuses to hold a non-finite alpha
-    with pytest.raises(PrivmaskError):
-        nnr_of(MaskParams(m=0.0, n=1.0), w=5e-324)
-
-
-@given(
-    m=st.floats(0, 10),
-    n=st.floats(1e-6, 10),
-    w=st.floats(1e-6, 10),
-    c=st.floats(1e-3, 1e3),
-)
-def test_nnr_scale_invariance_close_for_general_scales(m, n, w, c):
-    base = nnr_of(MaskParams(m=m, n=n), w=w)
-    scaled = nnr_of(MaskParams(m=c * m, n=c * n), w=c * w)
-    assert scaled.alpha == pytest.approx(base.alpha, rel=1e-12)
 
 
 @given(

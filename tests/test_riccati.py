@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from privmask import (
-    DegenerateAll,
     MaskParams,
     NegativeInput,
     NoConvergence,
     SystemParams,
     iterate_prediction_covariance,
-    kalman_gain,
     prediction_covariances,
     solve_are,
     steady_state_second_moment,
 )
+from privmask import riccati
 from privmask.riccati import _gain, gain_schedule, solve_are_array
 
 GOLDEN = (1 + math.sqrt(5)) / 2
@@ -139,17 +138,6 @@ class TestIteration:
         assert worst <= 1e-10
 
 
-class TestKalmanGain:
-    def test_values(self):
-        assert kalman_gain(0.05, 0.05) == 0.5
-        assert kalman_gain(0.1, 0.0) == 1.0
-        assert kalman_gain(0.0809017, 0.05) == pytest.approx(0.618034, abs=1e-6)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateAll):
-            kalman_gain(0.0, 0.0)
-
-
 class TestPredictionCovariances:
     def test_first_terms(self):
         s = prediction_covariances(1.0, 0.05, 0.05, 3)
@@ -196,9 +184,12 @@ class TestGainSchedule:
         for g, w in zip(got, want):  # bytes compare the sign of zero too
             assert g.tobytes() == w.tobytes()
 
-    def test_never_settling_schedule_has_no_repeat(self):
+    def test_never_settling_schedule_has_no_repeat(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(riccati, "_gain", lambda s, n: steps.append(s) or _gain(s, n))
         _, gains = gain_schedule(*NEVER_SETTLES, 3000)
         assert (np.diff(gains[-100:]) != 0).all()
+        assert len(steps) < 100  # the two-step cycle stops the loop early
 
 
 class TestSecondMoment:
