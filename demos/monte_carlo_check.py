@@ -45,5 +45,5 @@ print(f"\nestimate-error correlation (should be ~0): {orth.mean():+.2e} "
 print(f"innovation lag-1 autocovariance (should be ~0): {rho1.mean():+.2e} "
       f"+- {rho1.std(ddof=1)/np.sqrt(len(rho1)):.2e}")
 
-rerun = simulate(SYS, MASKS, HORIZON, TRAJECTORIES, seed=SEED, workers=2)
-print(f"\nrerun with 2 workers bit-identical: {np.array_equal(batch.x, rerun.x)}")
+rerun = simulate(SYS, MASKS, HORIZON, TRAJECTORIES, seed=SEED)
+print(f"\nrerun bit-identical: {np.array_equal(batch.x, rerun.x)}")

@@ -130,6 +130,13 @@ def _accept(test):
     return convert
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are typed errors; its subparsers are ``_Parser`` too."""
+
+    def error(self, message):
+        raise PrivmaskError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     g = shared.add_argument_group("parameters")
@@ -156,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bits", action="store_true", default=None,
                    help="report information in bits instead of nats")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="privmask",
         description="Privacy-mask analysis and design for cloud-controlled scalar plants.",
     )
@@ -422,8 +429,8 @@ _JSON_ONLY = {"analyze", "design", "simulate"}
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
     try:
+        args = _parser().parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
         cfg = load_config(args)
         if cfg.command in _JSON_ONLY and cfg.fmt == "csv":
             raise PrivmaskError(f"{cfg.command} emits a JSON report; --format csv is not available")

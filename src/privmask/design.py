@@ -38,7 +38,6 @@ from .rates import (
     control_cost_rate_from_nnr,
     control_cost_rate_from_nnr_derivative,
     mi_rate_from_nnr,
-    mi_rate_from_nnr_array,
     mi_rate_from_nnr_derivative,
 )
 
@@ -196,8 +195,8 @@ def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
     if not lam_list:
         raise EmptyInput("lambda list must be nonempty")
     for lam in lam_list:
-        if lam < 0:
-            raise NegativeWeight(f"trade-off weight must be >= 0, got {lam}")
+        if not 0 <= lam < math.inf:  # NaN fails too
+            raise NegativeWeight(f"trade-off weight must be finite and >= 0, got {lam}")
     require_stable(sys)
     if sys.w == 0:
         raise ZeroProcessNoise(
@@ -277,6 +276,6 @@ def robustness_sweep(sys: SystemParams, alpha_design: float,
 
     n_design = alpha_design * (m_vals + sys.w)
     alpha = n_design[:, None] / denom
-    mi = mi_rate_from_nnr_array(sys, alpha).total
+    mi = np.array([mi_rate_from_nnr(sys, x).total for x in alpha.ravel().tolist()])
     return RobustnessGrid(m_values=m_vals, w_true_values=w_vals,
-                          n_design=n_design, alpha=alpha, mi=mi)
+                          n_design=n_design, alpha=alpha, mi=mi.reshape(alpha.shape))

@@ -19,7 +19,7 @@ class NegativeVariance(PrivmaskError):
 
 
 class NegativeWeight(PrivmaskError):
-    """A cost weight (q, r or a trade-off weight) is negative."""
+    """A cost weight (q, r or a trade-off weight) is negative, or a trade-off weight not finite."""
 
 
 class IllDefinedNnr(PrivmaskError):

@@ -22,12 +22,7 @@ import numpy as np
 
 from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha
 from .params import MaskParams, SystemParams, require_stable
-from .riccati import (
-    prediction_covariances,
-    solve_are,
-    solve_are_array,
-    steady_state_second_moment,
-)
+from .riccati import prediction_covariances, solve_are, steady_state_second_moment
 
 
 @dataclass(frozen=True)
@@ -119,22 +114,6 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
     s = nnr_prediction_ratio(sys.a, alpha)
     up = 0.5 * math.log1p(s)
     down = 0.5 * math.log1p(sys.k * sys.k * alpha)
-    return PrivacyRates(uplink=up, downlink=down, total=up + down, divergent=False)
-
-
-def mi_rate_from_nnr_array(sys: SystemParams, alpha: np.ndarray) -> PrivacyRates:
-    """``mi_rate_from_nnr`` over an ndarray of ratios, in one numpy evaluation.
-
-    The fields are ndarrays shaped like ``alpha``, each within a few ulp of
-    the scalar kernel (numpy's log1p and hypot are not bit-identical to
-    :mod:`math`'s).
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    if (alpha <= 0).any():
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha.min()}")
-    s = solve_are_array(sys.a, 1.0 / alpha, 1.0)
-    up = 0.5 * np.log1p(s)
-    down = 0.5 * np.log1p(sys.k * sys.k * alpha)
     return PrivacyRates(uplink=up, downlink=down, total=up + down, divergent=False)
 
 

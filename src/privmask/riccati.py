@@ -23,6 +23,7 @@ from .params import MaskParams, SystemParams, closed_loop_stable
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10**6
+_MIN_NORMAL = float.fromhex("0x1p-1022")  # the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -70,27 +71,11 @@ def solve_are(a: float, p: float, n: float) -> float:
     # b < 0: the direct formula cancels; recover the positive root from the
     # product of roots (-p*n) via the stable negative root.
     r_neg = 0.5 * (b - disc)
-    return 0.0 if p * n == 0 else (-p * n) / r_neg
-
-
-def solve_are_array(a: float, p: np.ndarray, n: float) -> np.ndarray:
-    """``solve_are`` broadcast over an ndarray ``p``, evaluated with numpy.
-
-    Each root is within a few ulp of the scalar one (numpy's hypot is not
-    bit-identical to :mod:`math`'s).  The scalar kernel stays separate so
-    its many callers pay no dispatch.
-    """
-    p = np.asarray(p, dtype=float)
-    if n < 0 or (p < 0).any():
-        raise NegativeInput(f"p and n must be >= 0, got min p={p.min()}, n={n}")
-    b = (a * a - 1.0) * n + p
-    disc = np.hypot(b, 2.0 * np.sqrt(p) * np.sqrt(n))
-    # c is the root of larger magnitude, free of cancellation: the positive
-    # root where b >= 0; where b < 0 the positive root is the product of the
-    # roots, -p*n, over the negative root -c (abs keeps p = -0.0 from giving -0.0)
-    c = 0.5 * (np.abs(b) + disc)
-    with np.errstate(divide="ignore", invalid="ignore"):  # c = 0 only where b = 0
-        return np.where(b >= 0, c, np.abs(p * n) / c)
+    pn = p * n
+    if _MIN_NORMAL <= pn < math.inf:
+        return -pn / r_neg
+    # the product underflowed (or overflowed): divide first; abs turns p = -0.0 into 0.0
+    return abs(p) * (n / -r_neg)
 
 
 def _gain(s_pred: float, n: float) -> float:

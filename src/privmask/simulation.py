@@ -188,14 +188,14 @@ def _check_inputs(horizon: int, n_trajectories: int, seed: int) -> None:
 
 
 def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
-             n_trajectories: int, seed: int, workers: int = 1) -> TrajectoryBatch:
+             n_trajectories: int, seed: int) -> TrajectoryBatch:
     """Simulate the closed loop and the cloud's filter along with it.
 
     The result is bit-identical for a fixed ``(seed, horizon,
     n_trajectories)``: each trajectory owns an independent noise stream and
-    the recursion never couples trajectories.  ``workers`` is accepted for
-    compatibility and ignored: the noise is always drawn on this thread and
-    one helper thread, and results do not depend on thread scheduling.
+    the recursion never couples trajectories.  The noise is drawn on this
+    thread and one helper thread, and results do not depend on thread
+    scheduling.
     """
     _check_inputs(horizon, n_trajectories, seed)
     s_seq, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, horizon)

@@ -386,16 +386,6 @@ class TestOutputRoundTrip:
         assert path.read_text() == out
 
 
-def outcome(capsys, argv):
-    """Exit code (or argparse's SystemExit code), stdout and stderr of one call."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = ("SystemExit", exc.code)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 class TestParserReuse:
     CALLS = (
         ("analyze", "--a", "1", "--k", "-1"),
@@ -414,7 +404,7 @@ class TestParserReuse:
         cli._parser.cache_clear()
         try:
             for argv in self.CALLS:
-                outcome(capsys, argv)
+                run(capsys, *argv)
         finally:
             cli._parser.cache_clear()
         assert len(built) == 1
@@ -423,10 +413,12 @@ class TestParserReuse:
         fresh = []
         for argv in self.CALLS:
             cli._parser.cache_clear()
-            fresh.append(outcome(capsys, argv))
-        assert fresh[2][0] == ("SystemExit", 2)
+            fresh.append(run(capsys, *argv))
+        assert fresh[2][0] == 2
+        assert json.loads(fresh[2][2]) == {"error": "PrivmaskError",
+                                           "message": "argument --k: expected one argument"}
         for _ in range(2):
-            assert [outcome(capsys, argv) for argv in self.CALLS] == fresh
+            assert [run(capsys, *argv) for argv in self.CALLS] == fresh
 
 
 class TestLazySimulation:
@@ -470,27 +462,36 @@ class TestGoldenOutputs:
 
 
 NUMBERS = st.sampled_from(["0", "-0", "1", "-1", "0.5", "-0.4", "2", "-1e-9", "1e-300", "1e150",
-                           "1e300", "inf", "nan"])
+                           "1e300", "inf", "-inf", "nan"])
 RANGES = st.sampled_from(["0:0.5:3", "0.01:1:2", "0:0:1", "1e-3:1e3:3", "-1:1:2", "1:0:3",
                           "0:1:0", "0:1:-2", "oops", "1:2", "0:inf:2", "nan:1:2"])
-HORIZONS = {"simulate": ["-5", "0", "1001", "1200"], "verify": ["-1", "0", "1", "2", "5", "257"]}
+HORIZONS = {"simulate": ["-5", "0", "1001", "1200", "1.5"],
+            "verify": ["-1", "0", "1", "2", "5", "257", "1.5"]}
 
 
 @st.composite
 def argvs(draw):
-    """A command line argparse accepts: each value has the flag's type, and ranges use ``=``."""
+    """A command line, well-formed or not.
+
+    Besides values out of every range, it draws argparse's own usage errors:
+    an unknown subcommand, an integer flag given ``1.5``, ``-inf`` or a
+    negative range after a space, an unknown flag and a flag without its value.
+    """
+    def option(flag, value):
+        return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+
     command = draw(st.sampled_from(["analyze", "grid", "alpha-sweep", "design", "simulate",
-                                    "verify"]))
+                                    "verify", "frobnicate"]))
     argv = [command]
     dropped = draw(st.sampled_from([None] * 8 + ["--a", "--k"]))
     for flag in ("--a", "--k", "--w", "--q", "--r", "--m", "--n"):
         if flag in ("--a", "--k") and flag != dropped or draw(st.booleans()):
             argv += [flag, draw(NUMBERS)]
     if command == "grid":
-        argv += [f"--m-range={draw(RANGES)}", f"--n-range={draw(RANGES)}"]
+        argv += option("--m-range", draw(RANGES)) + option("--n-range", draw(RANGES))
     elif command == "alpha-sweep":
-        argv += draw(st.one_of(st.tuples(st.just("--alpha"), NUMBERS),
-                               RANGES.map(lambda r: (f"--alpha-range={r}",))))
+        argv += (["--alpha", draw(NUMBERS)] if draw(st.booleans())
+                 else option("--alpha-range", draw(RANGES)))
     elif command == "design":
         argv += ["--lambda", draw(st.sampled_from(["0", "0,1", "1,100000", "", "-1", "nan",
                                                    "inf", "a,b"]))]
@@ -502,15 +503,15 @@ def argvs(draw):
                  "--workers", draw(st.sampled_from(["0", "1", "3"]))]
     argv += draw(st.sampled_from([[], ["--format", "json"], ["--format", "csv"]]))
     argv += draw(st.sampled_from([[], ["--bits"]]))
+    argv += draw(st.sampled_from([[]] * 6 + [["--bogus"], ["--seed"], ["--lambda"]]))
     return argv
 
 
 class TestGeneratedArgv:
-    """Every well-formed command line ends in a result, a failed ``verify`` or a typed error.
+    """Every command line ends in a result, a failed ``verify`` or a typed error.
 
-    argparse's own usage errors are not drawn (a value of the wrong type, a
-    flag without its value, ``-inf`` or a negative range after a space):
-    they exit 2 with argparse's usage text, not the JSON error object.
+    That holds for argparse's own usage errors too: they exit 2 with the
+    JSON error object, never with usage text or ``SystemExit``.
     """
 
     @settings(max_examples=200, deadline=None)
@@ -527,6 +528,12 @@ class TestGeneratedArgv:
     @example(argv=["design", "--a", "0.5", "--k", "1e-90", "--lambda", "0"])
     @example(argv=["design", "--a", "-0.4", "--k", "-1e-9", "--w", "1e300", "--lambda", "0"])
     @example(argv=["verify", "--a", "1e150", "--k", "1e150", "--n", "1e150", "--T", "5"])
+    # argparse's usage errors
+    @example(argv=["frobnicate", "--a", "1", "--k", "-1"])
+    @example(argv=["verify", "--a", "1", "--k", "-1", "--T", "1.5"])
+    @example(argv=["analyze", "--a", "1", "--k"])
+    @example(argv=["analyze", "--a", "1", "--k", "-1", "--w", "-inf"])
+    @example(argv=["grid", "--a", "1", "--k", "-1", "--n-range", "-1:1:2"])
     def test_outcome_is_a_result_or_a_typed_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,9 +15,25 @@ from privmask import (
     steady_state_second_moment,
 )
 from privmask import riccati
-from privmask.riccati import _gain, gain_schedule, solve_are_array
+from privmask.riccati import _gain, gain_schedule
 
 GOLDEN = (1 + math.sqrt(5)) / 2
+
+
+MP = mpmath.mp.clone()
+MP.dps = 50
+
+
+def exact_root(a, p, n):
+    """Nonnegative root of s^2 - ((a^2-1)n + p)s - pn = 0, in 50 digits, as the nearest double.
+
+    Every double is exact in mpmath.  Where b = (a^2-1)n + p < 0 the root
+    is taken as 2pn/(sqrt(D) - b), which does not cancel.
+    """
+    a, p, n = MP.mpf(a), MP.mpf(p), MP.mpf(n)
+    b = (a * a - 1) * n + p
+    d = MP.sqrt(b * b + 4 * p * n)
+    return float(2 * p * n / (d - b) if b < 0 else (b + d) / 2)
 
 
 def quadratic_residual(a, p, n, sigma):
@@ -41,18 +58,17 @@ class TestSolveAre:
         with pytest.raises(NegativeInput):
             solve_are(1.0, 0.1, -0.1)
 
-    def test_array_kernel_matches_scalar_calls(self):
+    def test_root_within_4_ulp_of_the_exact_root(self):
         rng = np.random.default_rng(11)
         # a^2 < 1 and a^2 > 1, small and large p, so both root branches occur
-        p = np.concatenate([[0.0, 1e-300, 1e300], rng.uniform(1e-6, 3.0, 200)])
-        for a in (0.0, 0.4, 1.0, 1.7):
-            for n in (0.0, 1e-12, 0.3, 5.0):
-                roots = solve_are_array(a, p, n)
-                scalar = np.array([solve_are(a, float(x), n) for x in p])
-                assert roots.shape == p.shape
-                assert np.all(np.abs(roots - scalar) <= 4 * np.spacing(scalar)), (a, n)
-        with pytest.raises(NegativeInput):
-            solve_are_array(1.0, np.array([0.1, -0.1]), 0.1)
+        p = np.concatenate([[0.0, 1e-300, 1e300], rng.uniform(1e-6, 3.0, 200)]).tolist()
+        cases = [(a, x, n) for a in (0.0, 0.4, 1.0, 1.7) for n in (0.0, 1e-12, 0.3, 5.0)
+                 for x in p]
+        # b < 0 with p*n out of range: subnormal above (p = 1e-300, n = 1e-12), 0.0 and inf here
+        cases += [(0.0, 1e-300, 1e-30), (0.0, 1e200, 1e300)]
+        for a, x, n in cases:
+            exact = exact_root(a, x, n)
+            assert abs(solve_are(a, x, n) - exact) <= 4 * math.ulp(exact), (a, x, n)
 
     def test_degenerate_all_stable_vs_unstable(self):
         assert solve_are(0.5, 0.0, 0.0) == 0.0

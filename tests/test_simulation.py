@@ -40,14 +40,6 @@ class TestDeterminism:
         for field in ("x", "n", "y", "u", "m", "v", "w", "xhat_pred", "xhat"):
             assert np.array_equal(getattr(b1, field), getattr(b2, field))
 
-    def test_worker_count_irrelevant(self):
-        b1 = small_batch(workers=1)
-        b3 = small_batch(workers=3)
-        b5 = small_batch(workers=5)
-        for field in ("x", "n", "y", "u", "m", "v", "w", "xhat_pred", "xhat"):
-            assert np.array_equal(getattr(b1, field), getattr(b3, field))
-            assert np.array_equal(getattr(b1, field), getattr(b5, field))
-
     def test_different_seeds_differ(self):
         assert not np.array_equal(small_batch().x, small_batch(seed=12).x)
 
