@@ -74,6 +74,40 @@ class TestAnalyze:
         assert "error" in json.loads(err)
 
 
+# the flags every run of a command starts from, small enough to be quick
+OPTION_BASE = {
+    "analyze": ["--a", "1", "--k", "-1"],
+    "grid": ["--a", "1", "--k", "-1", "--m-range", "0:0.3:3", "--n-range", "0:0.3:3"],
+    "alpha-sweep": ["--a", "1", "--k", "-1", "--alpha-range", "0.01:100:5"],
+    "design": ["--a", "0.5", "--k", "-0.4"],
+    "simulate": ["--a", "0.5", "--k", "-0.4", "--T", "1200", "--trajectories", "2"],
+    "verify": ["--a", "1", "--k", "-1", "--T", "5"],
+}
+# one case per config entry: a command that reads it, its flag form and its config form;
+# "OUT" stands for a path in the test's temporary directory
+OPTION_CASES = [
+    ("a", "analyze", ["--a", "0.5"], 0.5),
+    ("k", "analyze", ["--k", "-0.4"], -0.4),
+    ("w", "analyze", ["--w", "0.2"], 0.2),
+    ("q", "analyze", ["--q", "2"], 2),
+    ("r", "analyze", ["--r", "3"], 3),
+    ("m", "analyze", ["--m", "0.1"], 0.1),
+    ("n", "analyze", ["--n", "0.3"], 0.3),
+    ("alpha", "alpha-sweep", ["--alpha", "0.7"], 0.7),
+    ("lambda", "design", ["--lambda", "0.5,2"], [0.5, 2]),
+    ("T", "verify", ["--T", "3"], 3),
+    ("trajectories", "simulate", ["--trajectories", "3"], 3),
+    ("seed", "simulate", ["--seed", "11"], 11),
+    ("workers", "simulate", ["--workers", "0"], 0),
+    ("m_range", "grid", ["--m-range", "0:0.2:2"], "0:0.2:2"),
+    ("n_range", "grid", ["--n-range", "0:0.2:2"], "0:0.2:2"),
+    ("alpha_range", "alpha-sweep", ["--alpha-range", "0.1:10:3"], "0.1:10:3"),
+    ("output", "analyze", ["--output", "OUT"], "OUT"),
+    ("format", "verify", ["--format", "json"], "json"),
+    ("bits", "analyze", ["--bits"], True),
+]
+
+
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -100,6 +134,28 @@ class TestConfigFile:
                               "--format", "json", "--bits")
         assert out_cfg == out_flags != ""
 
+    @pytest.mark.parametrize("key, command, flag, entry", OPTION_CASES,
+                             ids=[case[0] for case in OPTION_CASES])
+    def test_each_entry_equals_its_flag(self, capsys, tmp_path, key, command, flag, entry):
+        out_path = tmp_path / "out.txt"
+        flag = [str(out_path) if token == "OUT" else token for token in flag]
+        entry = str(out_path) if entry == "OUT" else entry
+        base = list(OPTION_BASE[command])
+        if flag[0] in base:
+            del base[base.index(flag[0]):base.index(flag[0]) + 2]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: entry}))
+
+        def outcome(*extra):
+            result = run(capsys, command, *base, *extra)
+            written = out_path.read_text() if out_path.exists() else None
+            out_path.unlink(missing_ok=True)
+            return result, written
+
+        via_flag = outcome(*flag)
+        assert outcome("--config", str(cfg)) == via_flag
+        assert outcome() != via_flag  # the option changes the run
+
     def test_bad_config_shape(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2, 3]")
@@ -116,9 +172,11 @@ class TestConfigFile:
         ("grid", '{"a": 1, "k": -1, "format": "xml"}'),
         ("analyze", '{"a": 1, "k": -1, "bits": "false"}'),
         ("analyze", '{"a": 1, "k": -1, "n": true}'),
+        ("design", '{"a": 1, "k": -1, "lambda": "0,1"}'),
+        ("verify", '{"a": 1, "k": -1, "T": "3"}'),
     ], ids=["malformed-json", "non-numeric-entry", "non-list-lambda", "non-string-output",
             "fractional-integer", "boolean-integer", "unknown-format", "non-boolean-bits",
-            "boolean-number"])
+            "boolean-number", "string-lambda", "string-integer"])
     def test_malformed_config_is_a_typed_error(self, capsys, tmp_path, command, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
