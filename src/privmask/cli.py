@@ -20,17 +20,12 @@ import json
 import math
 import re
 import sys as _sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .design import (
-    boundary_diagnostics,
-    masks_from_nnr,
-    optimal_nnr,
-    tradeoff_curve,
-)
+from .design import boundary_diagnostics, masks_from_nnr, optimal_nnr, tradeoff_curve
 from .errors import NonPositiveCount, PrivmaskError
 from .oracle import CHECK_TOL, consistency_report
 from .params import MaskParams, SystemParams
@@ -38,15 +33,7 @@ from .rates import control_cost_rate, mi_rate, mi_rate_from_nnr, mi_rate_from_nn
 from .riccati import solve_are
 
 LN2 = math.log(2.0)
-
-_DEFAULTS = {
-    "w": 0.05, "q": 1.0, "r": 1.0, "m": 0.0, "n": 0.05,
-    "seed": 7, "trajectories": 64, "workers": 1,
-    "lambda": [0.0],
-    "m_range": "0.01:0.5:50", "n_range": "0.01:0.5:50",
-    "alpha_range": "0.01:100:601",
-}
-_T_DEFAULTS = {"simulate": 100_000, "verify": 10}
+_FORMATS = ("csv", "json")
 
 # argparse reads only "-1" and "-0.5" as negative numbers and takes "-1e-9"
 # for an unknown option; this form also admits an exponent
@@ -54,47 +41,14 @@ _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
 _FLAG = re.compile(r"--[A-Za-z][\w-]*")
 
 
-@dataclass
-class RunConfig:
-    """Merged command configuration (flags over config file over defaults)."""
-
-    command: str
-    a: float
-    k: float
-    w: float
-    q: float
-    r: float
-    m: float
-    n: float
-    alpha: float | None
-    lambdas: list
-    horizon: int | None
-    trajectories: int
-    seed: int
-    m_range: tuple
-    n_range: tuple
-    alpha_range: tuple
-    output: str | None
-    fmt: str | None
-    bits: bool
-
-    @property
-    def system(self) -> SystemParams:
-        return SystemParams(a=self.a, k=self.k, w=self.w, q=self.q, r=self.r)
-
-    @property
-    def masks(self) -> MaskParams:
-        return MaskParams(m=self.m, n=self.n)
-
-
-def _parse_range(text: str, name: str) -> tuple:
+def _parse_range(text) -> tuple:
     try:
         lo_s, hi_s, count_s = text.split(":")
         lo, hi, count = float(lo_s), float(hi_s), int(count_s)
     except (AttributeError, ValueError):
-        raise PrivmaskError(f"--{name} must be lo:hi:count, got {text!r}") from None
+        raise PrivmaskError(f"must be lo:hi:count, got {text!r}") from None
     if count < 1 or hi < lo:
-        raise PrivmaskError(f"--{name} needs hi >= lo and count >= 1, got {text!r}")
+        raise PrivmaskError(f"needs hi >= lo and count >= 1, got {text!r}")
     return lo, hi, count
 
 
@@ -102,7 +56,7 @@ def _parse_lambdas(text: str) -> list:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise PrivmaskError(f"--lambda must be a comma-separated float list, got {text!r}") from None
+        raise PrivmaskError(f"must be a comma-separated float list, got {text!r}") from None
 
 
 def _real(value) -> float:
@@ -121,6 +75,13 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _at_least_one(value) -> int:
+    count = _integral(value)
+    if count < 1:
+        raise NonPositiveCount(f"must be >= 1, got {count}")
+    return count
+
+
 def _accept(test):
     """A converter that passes a value through when ``test`` accepts it."""
     def convert(value):
@@ -128,6 +89,53 @@ def _accept(test):
             raise ValueError(value)
         return value
     return convert
+
+
+class _Option(NamedTuple):
+    """A shared option; ``key`` names its config entry (``None`` for ``--config``).
+
+    ``convert`` checks a config entry and sets the flag's type (``_FLAG_TYPES``);
+    a ``default`` of ``...`` marks a required option.
+    """
+
+    flag: str
+    key: str | None
+    default: object
+    convert: object
+    help: str
+    metavar: str | None = None
+
+
+_OPTIONS = (
+    _Option("--a", "a", ..., _real, "state coefficient (required)"),
+    _Option("--k", "k", ..., _real, "feedback gain, nonzero (required)"),
+    _Option("--w", "w", 0.05, _real, "process-noise variance"),
+    _Option("--q", "q", 1.0, _real, "state cost weight"),
+    _Option("--r", "r", 1.0, _real, "input cost weight"),
+    _Option("--m", "m", 0.0, _real, "downlink mask variance"),
+    _Option("--n", "n", 0.05, _real, "uplink mask variance"),
+    _Option("--alpha", "alpha", None, _real, "noise-to-noise ratio for single-point sweeps"),
+    # a comma-separated string as a flag, a list of numbers in the config file
+    _Option("--lambda", "lambda", (0.0,), lambda v: [_real(x) for x in v],
+            "comma-separated trade-off weights", "LAMBDAS"),
+    _Option("--T", "T", {"simulate": 100_000, "verify": 10}, _integral,
+            "horizon / number of steps", "HORIZON"),
+    _Option("--trajectories", "trajectories", 64, _integral, "Monte Carlo trajectory count"),
+    _Option("--seed", "seed", 7, _integral, "random seed"),
+    _Option("--workers", "workers", 1, _at_least_one,
+            "accepted for compatibility, must be >= 1; has no effect"),
+    _Option("--m-range", "m_range", "0.01:0.5:50", _parse_range, "lo:hi:count (linear)"),
+    _Option("--n-range", "n_range", "0.01:0.5:50", _parse_range, "lo:hi:count (linear)"),
+    _Option("--alpha-range", "alpha_range", "0.01:100:601", _parse_range,
+            "lo:hi:count (log-spaced)"),
+    _Option("--config", None, None, None, "JSON config file; flags override its entries"),
+    _Option("--output", "output", None, _accept(lambda v: isinstance(v, str)),
+            "output path (default: stdout)"),
+    _Option("--format", "format", None, _accept(lambda v: v in _FORMATS), "output format"),
+    _Option("--bits", "bits", False, _accept(lambda v: isinstance(v, bool)),
+            "report information in bits instead of nats"),
+)
+_FLAG_TYPES = {_real: float, _integral: int, _at_least_one: int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,28 +148,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     g = shared.add_argument_group("parameters")
-    g.add_argument("--a", type=float, help="state coefficient (required)")
-    g.add_argument("--k", type=float, help="feedback gain, nonzero (required)")
-    g.add_argument("--w", type=float, help="process-noise variance")
-    g.add_argument("--q", type=float, help="state cost weight")
-    g.add_argument("--r", type=float, help="input cost weight")
-    g.add_argument("--m", type=float, help="downlink mask variance")
-    g.add_argument("--n", type=float, help="uplink mask variance")
-    g.add_argument("--alpha", type=float, help="noise-to-noise ratio for single-point sweeps")
-    g.add_argument("--lambda", dest="lambdas", type=str, help="comma-separated trade-off weights")
-    g.add_argument("--T", dest="horizon", type=int, help="horizon / number of steps")
-    g.add_argument("--trajectories", type=int, help="Monte Carlo trajectory count")
-    g.add_argument("--seed", type=int, help="random seed")
-    g.add_argument("--workers", type=int,
-                   help="accepted for compatibility, must be >= 1; has no effect")
-    g.add_argument("--m-range", dest="m_range", type=str, help="lo:hi:count (linear)")
-    g.add_argument("--n-range", dest="n_range", type=str, help="lo:hi:count (linear)")
-    g.add_argument("--alpha-range", dest="alpha_range", type=str, help="lo:hi:count (log-spaced)")
-    g.add_argument("--config", type=str, help="JSON config file; flags override its entries")
-    g.add_argument("--output", type=str, help="output path (default: stdout)")
-    g.add_argument("--format", dest="fmt", choices=("csv", "json"), help="output format")
-    g.add_argument("--bits", action="store_true", default=None,
-                   help="report information in bits instead of nats")
+    for opt in _OPTIONS:
+        if opt.key == "bits":
+            kind = {"action": "store_true", "default": None}
+        else:
+            kind = {"type": _FLAG_TYPES.get(opt.convert, str), "metavar": opt.metavar,
+                    "choices": _FORMATS if opt.key == "format" else None}
+        g.add_argument(opt.flag, dest=opt.key, help=opt.help, **kind)
 
     parser = _Parser(
         prog="privmask",
@@ -169,12 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"privmask {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[shared], help="closed-form rates and cost at one point")
-    sub.add_parser("grid", parents=[shared], help="rate/cost surface over an (m, n) grid")
-    sub.add_parser("alpha-sweep", parents=[shared], help="rate as a function of the noise ratio")
-    sub.add_parser("design", parents=[shared], help="optimal ratio, trade-off curve, masks")
-    sub.add_parser("simulate", parents=[shared], help="Monte Carlo validation of cost and sigma")
-    sub.add_parser("verify", parents=[shared], help="exact-oracle consistency checks")
+    for name, (_, help_text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[shared], help=help_text)
     return parser
 
 
@@ -195,7 +184,11 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
+def load_config(args: argparse.Namespace) -> dict:
+    """Every option's value by config key: flag, else config entry, else default, converted.
+
+    An entry of ``null`` counts as absent; an entry with no option is an error.
+    """
     file_cfg = {}
     if args.config is not None:
         with open(args.config) as fh:
@@ -205,57 +198,37 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 raise PrivmaskError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(file_cfg, dict):
             raise PrivmaskError(f"config file must hold a JSON object, got {type(file_cfg).__name__}")
+        unknown = sorted(file_cfg.keys() - {opt.key for opt in _OPTIONS})
+        if unknown:
+            raise PrivmaskError(f"config file has entries that name no option: {unknown}")
 
-    def pick(flag_value, key, default=None, convert=None):
-        """Flag, else config entry (``null`` counts as absent), else default, then ``convert``."""
-        value = flag_value if flag_value is not None else file_cfg.get(key)
+    cfg = {}
+    for opt in _OPTIONS:
+        if opt.key is None:
+            continue
+        flag = getattr(args, opt.key)
+        value = file_cfg.get(opt.key) if flag is None else flag
         if value is None:
-            value = default
-        if value is None or convert is None:
-            return value
+            value = opt.default.get(args.command) if opt.key == "T" else opt.default
+        if value is ...:
+            raise PrivmaskError("both --a and --k are required (flag or config file)")
         try:
-            return convert(value)
+            if flag is not None and opt.key == "lambda":
+                value = _parse_lambdas(flag)
+            cfg[opt.key] = None if value is None else opt.convert(value)
+        except PrivmaskError as exc:  # a parser's own message, which names no flag
+            raise type(exc)(f"{opt.flag} {exc}") from None
         except (OverflowError, TypeError, ValueError):
-            raise PrivmaskError(f"config entry {key!r} has an invalid value {value!r}") from None
+            raise PrivmaskError(f"config entry {opt.key!r} has an invalid value {value!r}") from None
+    return cfg
 
-    a = pick(args.a, "a", convert=_real)
-    k = pick(args.k, "k", convert=_real)
-    if a is None or k is None:
-        raise PrivmaskError("both --a and --k are required (flag or config file)")
 
-    if args.lambdas is not None:
-        lambdas = _parse_lambdas(args.lambdas)
-    else:
-        lambdas = pick(None, "lambda", _DEFAULTS["lambda"], lambda v: [_real(x) for x in v])
+def _system(cfg: dict) -> SystemParams:
+    return SystemParams(a=cfg["a"], k=cfg["k"], w=cfg["w"], q=cfg["q"], r=cfg["r"])
 
-    # --workers has no effect; it stays accepted for existing scripts, and a
-    # count below 1 is refused
-    workers = pick(args.workers, "workers", _DEFAULTS["workers"], _integral)
-    if workers < 1:
-        raise NonPositiveCount(f"--workers must be >= 1, got {workers}")
-    return RunConfig(
-        command=args.command,
-        a=a,
-        k=k,
-        w=pick(args.w, "w", _DEFAULTS["w"], _real),
-        q=pick(args.q, "q", _DEFAULTS["q"], _real),
-        r=pick(args.r, "r", _DEFAULTS["r"], _real),
-        m=pick(args.m, "m", _DEFAULTS["m"], _real),
-        n=pick(args.n, "n", _DEFAULTS["n"], _real),
-        alpha=pick(args.alpha, "alpha", convert=_real),
-        lambdas=lambdas,
-        horizon=pick(args.horizon, "T", _T_DEFAULTS.get(args.command), _integral),
-        trajectories=pick(args.trajectories, "trajectories", _DEFAULTS["trajectories"],
-                          _integral),
-        seed=pick(args.seed, "seed", _DEFAULTS["seed"], _integral),
-        m_range=_parse_range(pick(args.m_range, "m_range", _DEFAULTS["m_range"]), "m-range"),
-        n_range=_parse_range(pick(args.n_range, "n_range", _DEFAULTS["n_range"]), "n-range"),
-        alpha_range=_parse_range(pick(args.alpha_range, "alpha_range", _DEFAULTS["alpha_range"]),
-                                 "alpha-range"),
-        output=pick(args.output, "output", convert=_accept(lambda v: isinstance(v, str))),
-        fmt=pick(args.fmt, "format", convert=_accept(lambda v: v in ("csv", "json"))),
-        bits=pick(args.bits, "bits", False, _accept(lambda v: isinstance(v, bool))),
-    )
+
+def _masks(cfg: dict) -> MaskParams:
+    return MaskParams(m=cfg["m"], n=cfg["n"])
 
 
 # ---------------------------------------------------------------- output
@@ -284,10 +257,10 @@ def _plain(value, bits: bool):
     return value
 
 
-def _emit(cfg: RunConfig, report: dict, table: str | None = None) -> None:
+def _emit(cfg: dict, report: dict, table: str | None = None) -> None:
     """Write ``report`` as JSON, or as CSV of the rows ``report[table]`` unless ``--format json``."""
-    report = _plain(report, cfg.bits)
-    if table is None or cfg.fmt == "json":
+    report = _plain(report, cfg["bits"])
+    if table is None or cfg["format"] == "json":
         text = json.dumps(report, indent=2) + "\n"
     else:
         rows = report[table]
@@ -296,8 +269,8 @@ def _emit(cfg: RunConfig, report: dict, table: str | None = None) -> None:
         lines += [",".join(["true" if v is True else "false" if v is False else str(v)
                             for v in row.values()]) for row in rows]
         text = "\n".join(lines) + "\n"
-    if cfg.output:
-        with open(cfg.output, "w") as fh:
+    if cfg["output"]:
+        with open(cfg["output"], "w") as fh:
             fh.write(text)
     else:
         _sys.stdout.write(text)
@@ -306,24 +279,24 @@ def _emit(cfg: RunConfig, report: dict, table: str | None = None) -> None:
 # ------------------------------------------------------------- commands
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    sysp, masks = cfg.system, cfg.masks
+def cmd_analyze(cfg: dict) -> int:
+    sysp, masks = _system(cfg), _masks(cfg)
     rates = mi_rate(sysp, masks)
     _emit(cfg, {
-        "sigma": solve_are(cfg.a, cfg.m + cfg.w, cfg.n),
+        "sigma": solve_are(cfg["a"], cfg["m"] + cfg["w"], cfg["n"]),
         "uplink_nats": rates.uplink,
         "downlink_nats": rates.downlink,
         "mi_nats": rates.total,
         "cost": control_cost_rate(sysp, masks).cost,
-        "diagnostics": boundary_diagnostics(masks, cfg.w).value,
+        "diagnostics": boundary_diagnostics(masks, cfg["w"]).value,
     })
     return 0
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    sysp = cfg.system
-    m_lo, m_hi, m_count = cfg.m_range
-    n_lo, n_hi, n_count = cfg.n_range
+def cmd_grid(cfg: dict) -> int:
+    sysp = _system(cfg)
+    m_lo, m_hi, m_count = cfg["m_range"]
+    n_lo, n_hi, n_count = cfg["n_range"]
     rows = []
     for m in np.linspace(m_lo, m_hi, m_count):
         for n in np.linspace(n_lo, n_hi, n_count):
@@ -342,12 +315,12 @@ def cmd_grid(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_alpha_sweep(cfg: RunConfig) -> int:
-    sysp = cfg.system
-    if cfg.alpha is not None:
-        alphas = np.array([cfg.alpha])
+def cmd_alpha_sweep(cfg: dict) -> int:
+    sysp = _system(cfg)
+    if cfg["alpha"] is not None:
+        alphas = np.array([cfg["alpha"]])
     else:
-        lo, hi, count = cfg.alpha_range
+        lo, hi, count = cfg["alpha_range"]
         if lo <= 0:
             raise PrivmaskError(f"--alpha-range lower end must be > 0, got {lo}")
         alphas = np.geomspace(lo, hi, count)
@@ -363,12 +336,12 @@ def cmd_alpha_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_design(cfg: RunConfig) -> int:
-    sysp = cfg.system  # validates every parameter before the quartic reads a and k
+def cmd_design(cfg: dict) -> int:
+    sysp = _system(cfg)  # validates every parameter before the quartic reads a and k
     report = optimal_nnr(sysp.a, sysp.k)
-    points = tradeoff_curve(sysp, cfg.lambdas)
-    recommended = masks_from_nnr(report.alpha_star, cfg.w, cfg.m)
-    if cfg.m == 0:
+    points = tradeoff_curve(sysp, cfg["lambda"])
+    recommended = masks_from_nnr(report.alpha_star, cfg["w"], cfg["m"])
+    if cfg["m"] == 0:
         _sys.stderr.write(
             "warning: recommended masks use m = 0; the achieved noise ratio is then "
             "maximally sensitive to errors in w (pass --m to add a downlink mask)\n")
@@ -386,14 +359,14 @@ def cmd_design(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: dict) -> int:
     from .simulation import simulate_moments  # loads scipy; no other command needs it
 
-    sysp, masks = cfg.system, cfg.masks
+    sysp, masks = _system(cfg), _masks(cfg)
     (cost, cost_se), (sigma, sigma_se) = simulate_moments(
-        sysp, masks, cfg.horizon, cfg.trajectories, cfg.seed, cfg.q, cfg.r)
+        sysp, masks, cfg["T"], cfg["trajectories"], cfg["seed"], cfg["q"], cfg["r"])
     cf_cost = control_cost_rate(sysp, masks).cost
-    cf_sigma = solve_are(cfg.a, cfg.m + cfg.w, cfg.n)
+    cf_sigma = solve_are(cfg["a"], cfg["m"] + cfg["w"], cfg["n"])
     ok = abs(cost - cf_cost) <= 3 * cost_se and abs(sigma - cf_sigma) <= 3 * sigma_se
     _emit(cfg, {
         "empirical_cost": cost,
@@ -407,38 +380,38 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    report = consistency_report(cfg.system, cfg.masks, cfg.horizon)
+def cmd_verify(cfg: dict) -> int:
+    report = consistency_report(_system(cfg), _masks(cfg), cfg["T"])
     checks = [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs, "abs_err": c.abs_err,
                "pass": bool(c.passed), "gating": not c.informational} for c in report]
     _emit(cfg, {"tolerance": CHECK_TOL, "checks": checks}, table="checks")
     return 0 if all(c.passed for c in report if not c.informational) else 1
 
 
+# each command's function, its help, and whether it emits a table (else a JSON report)
 _COMMANDS = {
-    "analyze": cmd_analyze,
-    "grid": cmd_grid,
-    "alpha-sweep": cmd_alpha_sweep,
-    "design": cmd_design,
-    "simulate": cmd_simulate,
-    "verify": cmd_verify,
+    "analyze": (cmd_analyze, "closed-form rates and cost at one point", False),
+    "grid": (cmd_grid, "rate/cost surface over an (m, n) grid", True),
+    "alpha-sweep": (cmd_alpha_sweep, "rate as a function of the noise ratio", True),
+    "design": (cmd_design, "optimal ratio, trade-off curve, masks", False),
+    "simulate": (cmd_simulate, "Monte Carlo validation of cost and sigma", False),
+    "verify": (cmd_verify, "exact-oracle consistency checks", True),
 }
-
-# analyze/design/simulate emit structured reports, not tables
-_JSON_ONLY = {"analyze", "design", "simulate"}
 
 
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
         cfg = load_config(args)
-        if cfg.command in _JSON_ONLY and cfg.fmt == "csv":
-            raise PrivmaskError(f"{cfg.command} emits a JSON report; --format csv is not available")
+        run, _, tabular = _COMMANDS[args.command]
+        if not tabular and cfg["format"] == "csv":
+            raise PrivmaskError(f"{args.command} emits a JSON report; --format csv is not available")
         # overflow shows in-band as inf or as a typed error, never as numpy's warnings
         with np.errstate(all="ignore"):
-            return _COMMANDS[cfg.command](cfg)
-    except (PrivmaskError, OSError) as exc:
-        kind = "OSError" if isinstance(exc, OSError) else type(exc).__name__
+            return run(cfg)
+    except (PrivmaskError, OSError, MemoryError) as exc:
+        # FileNotFoundError reports as OSError, numpy's refused allocation as MemoryError
+        kind = next(c for c in (OSError, MemoryError, type(exc)) if isinstance(exc, c)).__name__
         _sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
         return 2
 

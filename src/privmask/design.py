@@ -41,7 +41,6 @@ from .rates import (
     mi_rate_from_nnr_derivative,
 )
 
-RESIDUAL_RTOL = 1e-10
 TRADEOFF_LO_FACTOR = 1e-3
 FIRST_ORDER_TOL = 1e-8
 

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import NegativeInput, NoConvergence
 from .params import MaskParams, SystemParams, closed_loop_stable
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 10**6
+ITERATION_TOL = 1e-12
+MAX_ITERATIONS = 10**6
 _MIN_NORMAL = float.fromhex("0x1p-1022")  # the smallest normal double
 
 
@@ -124,18 +124,13 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
     return s_pred, gains
 
 
-def iterate_prediction_covariance(
-    a: float,
-    p: float,
-    n: float,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> RiccatiSolution:
+def iterate_prediction_covariance(a: float, p: float, n: float) -> RiccatiSolution:
     """Fixed-point iteration of the prediction-covariance recursion.
 
     Iterates S_{t+1} = a^2 * ((1-l_t)^2 S_t + l_t^2 n) + p with
     l_t = S_t/(S_t + n) from S_1 = p until successive values differ by at
-    most ``tol``.  The final value agrees with ``solve_are`` within 10*tol.
+    most ``ITERATION_TOL``, within ``MAX_ITERATIONS`` steps.  The final
+    value agrees with ``solve_are`` within 10*ITERATION_TOL.
 
     ``p = n = 0`` converges in one step to 0 for every ``a``, as
     ``solve_are`` does.  The noiseless-uplink case ``n = 0 < p`` with
@@ -144,8 +139,6 @@ def iterate_prediction_covariance(
     point; ``solve_are`` still returns the limiting root ``p`` for that
     regime.
     """
-    if tol <= 0:
-        raise NegativeInput(f"tol must be > 0, got {tol}")
     if p < 0 or n < 0:
         raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
     if n == 0 and p > 0 and abs(a) >= 1:
@@ -155,17 +148,17 @@ def iterate_prediction_covariance(
         )
     transient = [p]
     s = p
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         l = _gain(s, n)
         s_next = a * a * ((1.0 - l) ** 2 * s + l * l * n) + p
         transient.append(s_next)
-        if abs(s_next - s) <= tol:
+        if abs(s_next - s) <= ITERATION_TOL:
             s = s_next
             return RiccatiSolution(
                 sigma=s, gain=_gain(s, n), transient=np.array(transient), iterations=it
             )
         s = s_next
-    raise NoConvergence(f"no convergence within {max_iter} iterations (a={a}, p={p}, n={n})")
+    raise NoConvergence(f"no convergence within {MAX_ITERATIONS} iterations (a={a}, p={p}, n={n})")
 
 
 def steady_state_second_moment(sys: SystemParams, masks: MaskParams) -> SecondMoment:

@@ -78,7 +78,7 @@ def test_01_riccati_closed_form_vs_iteration():
         p = 1.0 - rng.uniform(0, 1)  # (0, 1]
         n = 1.0 - rng.uniform(0, 1)
         closed = solve_are(a, p, n)
-        iterated = iterate_prediction_covariance(a, p, n, tol=1e-12).sigma
+        iterated = iterate_prediction_covariance(a, p, n).sigma
         worst_gap = max(worst_gap, abs(closed - iterated))
         residual = abs((a * a * n / (closed + n) - 1.0) * closed + p)
         worst_residual = max(worst_residual, residual / max(1.0, closed))

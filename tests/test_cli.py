@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -156,6 +157,10 @@ class TestConfigFile:
         assert outcome("--config", str(cfg)) == via_flag
         assert outcome() != via_flag  # the option changes the run
 
+    def test_every_option_has_a_case(self):
+        assert [case[0] for case in OPTION_CASES] == [opt.key for opt in cli._OPTIONS
+                                                      if opt.key is not None]
+
     def test_bad_config_shape(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text("[1, 2, 3]")
@@ -174,9 +179,12 @@ class TestConfigFile:
         ("analyze", '{"a": 1, "k": -1, "n": true}'),
         ("design", '{"a": 1, "k": -1, "lambda": "0,1"}'),
         ("verify", '{"a": 1, "k": -1, "T": "3"}'),
+        ("grid", '{"a": 1, "k": -1, "m-range": "0:0:1"}'),
+        ("analyze", '{"a": 1, "k": -1, "nn": 0.1}'),
     ], ids=["malformed-json", "non-numeric-entry", "non-list-lambda", "non-string-output",
             "fractional-integer", "boolean-integer", "unknown-format", "non-boolean-bits",
-            "boolean-number", "string-lambda", "string-integer"])
+            "boolean-number", "string-lambda", "string-integer", "flag-spelled-key",
+            "unknown-key"])
     def test_malformed_config_is_a_typed_error(self, capsys, tmp_path, command, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)
@@ -592,6 +600,8 @@ class TestGeneratedArgv:
     @example(argv=["analyze", "--a", "1", "--k"])
     @example(argv=["analyze", "--a", "1", "--k", "-1", "--w", "-inf"])
     @example(argv=["grid", "--a", "1", "--k", "-1", "--n-range", "-1:1:2"])
+    # an allocation numpy refuses outright: 10**15 doubles exceed any address space
+    @example(argv=["simulate", "--a", "0.5", "--k", "-0.4", "--T", str(10**15)])
     def test_outcome_is_a_result_or_a_typed_error(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -603,3 +613,34 @@ class TestGeneratedArgv:
             assert len(lines) == 1
             assert set(json.loads(lines[0])) == {"error", "message"}
         assert "nan" not in out.getvalue().lower()
+
+    # 10**15 doubles exceed any address space, so numpy refuses them before touching memory
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--a", "0.5", "--k", "-0.4", "--T", str(10**15)],
+        ["alpha-sweep", "--a", "1", "--k", "-1", "--alpha-range", f"1:2:{10**15}"],
+        ["grid", "--a", "1", "--k", "-1", "--m-range", f"0:1:{10**15}"],
+    ], ids=["simulate-horizon", "alpha-sweep-count", "grid-count"])
+    def test_refused_allocation_is_a_typed_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "MemoryError"
+
+
+class TestReadme:
+    """README's lists of shared flags and config keys are the option table's."""
+
+    README = (Path(__file__).parent.parent / "README.md").read_text()
+
+    def paragraph(self, start):
+        text = self.README[self.README.index(start):]
+        return text[:text.index("\n\n")]
+
+    def test_shared_flags(self):
+        listed = set(re.findall(r"--[a-zA-Z][\w-]*", self.paragraph("Shared flags:")))
+        sub = cli.build_parser()._subparsers._group_actions[0].choices["analyze"]
+        parsed = {s for action in sub._actions for s in action.option_strings} - {"-h", "--help"}
+        assert listed == parsed == {opt.flag for opt in cli._OPTIONS}
+
+    def test_config_keys(self):
+        listed = re.search(r"Config keys: `([^`]*)`", self.README).group(1).split()
+        assert listed == [opt.key for opt in cli._OPTIONS if opt.key is not None]

@@ -111,18 +111,18 @@ class TestSolveAre:
 
 class TestIteration:
     def test_matches_closed_form_at_anchor(self):
-        sol = iterate_prediction_covariance(1.0, 0.05, 0.05, tol=1e-12)
+        sol = iterate_prediction_covariance(1.0, 0.05, 0.05)
         assert sol.sigma == pytest.approx(solve_are(1.0, 0.05, 0.05), abs=1e-11)
         assert sol.gain == pytest.approx(sol.sigma / (sol.sigma + 0.05))
 
     def test_memoryless_converges_in_one_step(self):
-        sol = iterate_prediction_covariance(0.0, 0.15, 0.3, tol=1e-12)
+        sol = iterate_prediction_covariance(0.0, 0.15, 0.3)
         assert sol.iterations == 1
         assert sol.sigma == 0.15
 
     def test_unstable_noiseless_uplink_refused(self):
         with pytest.raises(NoConvergence):
-            iterate_prediction_covariance(1.5, 0.1, 0.0, tol=1e-12, max_iter=10**6)
+            iterate_prediction_covariance(1.5, 0.1, 0.0)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
     def test_all_zero_noise_converges_to_zero(self, a):
@@ -131,11 +131,11 @@ class TestIteration:
         assert sol.iterations == 1
 
     def test_stable_noiseless_uplink_converges(self):
-        sol = iterate_prediction_covariance(0.5, 0.1, 0.0, tol=1e-12)
+        sol = iterate_prediction_covariance(0.5, 0.1, 0.0)
         assert sol.sigma == pytest.approx(0.1, abs=1e-12)
 
     def test_transient_monotone_to_limit(self):
-        sol = iterate_prediction_covariance(0.9, 0.02, 0.3, tol=1e-13)
+        sol = iterate_prediction_covariance(0.9, 0.02, 0.3)
         diffs = np.diff(sol.transient)
         assert np.all(diffs >= -1e-15)
         assert sol.transient[-1] == pytest.approx(sol.sigma)
@@ -148,7 +148,7 @@ class TestIteration:
             p = 1.0 - rng.uniform(0, 1)  # (0, 1]
             n = 1.0 - rng.uniform(0, 1)
             closed = solve_are(a, p, n)
-            iterated = iterate_prediction_covariance(a, p, n, tol=1e-12).sigma
+            iterated = iterate_prediction_covariance(a, p, n).sigma
             worst = max(worst, abs(closed - iterated))
             assert quadratic_residual(a, p, n, closed) <= 1e-12 * max(1.0, closed)
         assert worst <= 1e-10
