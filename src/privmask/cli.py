@@ -20,7 +20,7 @@ import json
 import math
 import re
 import sys as _sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,13 +95,13 @@ class _Option(NamedTuple):
     """A shared option; ``key`` names its config entry (``None`` for ``--config``).
 
     ``convert`` checks a config entry and sets the flag's type (``_FLAG_TYPES``);
-    a ``default`` of ``...`` marks a required option.
+    ``...`` as ``default`` marks a required option; ``metavar`` names the value in ``--help``.
     """
 
     flag: str
     key: str | None
     default: object
-    convert: object
+    convert: Callable | None
     help: str
     metavar: str | None = None
 
@@ -216,7 +216,7 @@ def load_config(args: argparse.Namespace) -> dict:
             if flag is not None and opt.key == "lambda":
                 value = _parse_lambdas(flag)
             cfg[opt.key] = None if value is None else opt.convert(value)
-        except PrivmaskError as exc:  # a parser's own message, which names no flag
+        except PrivmaskError as exc:  # the message of a range, lambda or count check lacks the flag
             raise type(exc)(f"{opt.flag} {exc}") from None
         except (OverflowError, TypeError, ValueError):
             raise PrivmaskError(f"config entry {opt.key!r} has an invalid value {value!r}") from None
