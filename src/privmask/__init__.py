@@ -21,7 +21,6 @@ from .design import (
     quartic_coefficients,
     robustness_sweep,
     tradeoff_curve,
-    tradeoff_point,
 )
 from .errors import (
     DegenerateMasks,
@@ -58,7 +57,6 @@ from .params import (
     require_stable,
 )
 from .rates import (
-    CostRate,
     FiniteHorizonInfo,
     PrivacyRates,
     control_cost_rate,
@@ -75,7 +73,6 @@ from .rates import (
 )
 from .riccati import (
     RiccatiSolution,
-    SecondMoment,
     gain_schedule,
     iterate_prediction_covariance,
     prediction_covariances,
@@ -87,9 +84,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams", "MaskParams", "StabilityCheck", "closed_loop_stable", "require_stable",
-    "RiccatiSolution", "SecondMoment", "solve_are", "prediction_covariances",
+    "RiccatiSolution", "solve_are", "prediction_covariances",
     "gain_schedule", "iterate_prediction_covariance", "steady_state_second_moment",
-    "PrivacyRates", "CostRate", "FiniteHorizonInfo", "uplink_rate",
+    "PrivacyRates", "FiniteHorizonInfo", "uplink_rate",
     "downlink_rate", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
     "mi_rate_from_nnr_derivative", "nnr_prediction_ratio", "control_cost_rate",
     "control_cost_rate_from_nnr", "control_cost_rate_from_nnr_derivative",
@@ -100,7 +97,7 @@ __all__ = [
     "empirical_prediction_error",
     "DesignReport", "TradeoffPoint", "RobustnessGrid", "MaskDiagnosis",
     "quartic_coefficients", "optimal_nnr", "masks_from_nnr",
-    "tradeoff_point", "tradeoff_curve", "boundary_diagnostics", "robustness_sweep",
+    "tradeoff_curve", "boundary_diagnostics", "robustness_sweep",
     "PrivmaskError", "ZeroGain", "NegativeVariance", "NegativeWeight",
     "IllDefinedNnr", "NegativeInput", "NoConvergence", "UnstableClosedLoop",
     "DegenerateMasks", "HorizonTooLarge", "HorizonTooShort", "SingularBlock",

@@ -66,6 +66,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _reals(value) -> list:
+    """A list of floats from a list of numbers or numeric strings; never from a string."""
+    if not isinstance(value, list):
+        raise TypeError(value)
+    return [_real(x) for x in value]
+
+
 def _integral(value) -> int:
     """An int, or a float with an integral value; never a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -116,8 +123,7 @@ _OPTIONS = (
     _Option("--n", "n", 0.05, _real, "uplink mask variance"),
     _Option("--alpha", "alpha", None, _real, "noise-to-noise ratio for single-point sweeps"),
     # a comma-separated string as a flag, a list of numbers in the config file
-    _Option("--lambda", "lambda", (0.0,), lambda v: [_real(x) for x in v],
-            "comma-separated trade-off weights", "LAMBDAS"),
+    _Option("--lambda", "lambda", [0.0], _reals, "comma-separated trade-off weights", "LAMBDAS"),
     _Option("--T", "T", {"simulate": 100_000, "verify": 10}, _integral,
             "horizon / number of steps", "HORIZON"),
     _Option("--trajectories", "trajectories", 64, _integral, "Monte Carlo trajectory count"),
@@ -279,17 +285,18 @@ def _emit(cfg: dict, report: dict, table: str | None = None) -> None:
 # ------------------------------------------------------------- commands
 
 
+def _closed_forms(sysp: SystemParams, masks: MaskParams) -> dict:
+    """The columns ``analyze`` and ``grid`` share: sigma, the three flows and the cost."""
+    rates = mi_rate(sysp, masks)
+    return {"sigma": solve_are(sysp.a, masks.m + sysp.w, masks.n),
+            "uplink_nats": rates.uplink, "downlink_nats": rates.downlink,
+            "mi_nats": rates.total, "cost": control_cost_rate(sysp, masks)}
+
+
 def cmd_analyze(cfg: dict) -> int:
     sysp, masks = _system(cfg), _masks(cfg)
-    rates = mi_rate(sysp, masks)
-    _emit(cfg, {
-        "sigma": solve_are(cfg["a"], cfg["m"] + cfg["w"], cfg["n"]),
-        "uplink_nats": rates.uplink,
-        "downlink_nats": rates.downlink,
-        "mi_nats": rates.total,
-        "cost": control_cost_rate(sysp, masks).cost,
-        "diagnostics": boundary_diagnostics(masks, cfg["w"]).value,
-    })
+    _emit(cfg, {**_closed_forms(sysp, masks),
+                "diagnostics": boundary_diagnostics(masks, cfg["w"]).value})
     return 0
 
 
@@ -306,11 +313,8 @@ def cmd_grid(cfg: dict) -> int:
                 alpha = masks.n / p
             else:
                 alpha = math.inf if masks.n > 0 else 0.0
-            rates = mi_rate(sysp, masks)
             rows.append({"m": masks.m, "n": masks.n, "alpha": alpha,
-                         "sigma": solve_are(sysp.a, p, masks.n),
-                         "uplink_nats": rates.uplink, "downlink_nats": rates.downlink,
-                         "mi_nats": rates.total, "cost": control_cost_rate(sysp, masks).cost})
+                         **_closed_forms(sysp, masks)})
     _emit(cfg, {"schema": 1, "rows": rows}, table="rows")
     return 0
 
@@ -365,7 +369,7 @@ def cmd_simulate(cfg: dict) -> int:
     sysp, masks = _system(cfg), _masks(cfg)
     (cost, cost_se), (sigma, sigma_se) = simulate_moments(
         sysp, masks, cfg["T"], cfg["trajectories"], cfg["seed"], cfg["q"], cfg["r"])
-    cf_cost = control_cost_rate(sysp, masks).cost
+    cf_cost = control_cost_rate(sysp, masks)
     cf_sigma = solve_are(cfg["a"], cfg["m"] + cfg["w"], cfg["n"])
     ok = abs(cost - cf_cost) <= 3 * cost_se and abs(sigma - cf_sigma) <= 3 * sigma_se
     _emit(cfg, {

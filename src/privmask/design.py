@@ -49,12 +49,10 @@ FIRST_ORDER_TOL = 1e-8
 class DesignReport:
     """Optimal noise-to-noise ratio and how well it was located.
 
-    ``coefficients`` are (c4, c3, c1, c0) of the optimality quartic;
     ``residual`` is |quartic(alpha_star)| relative to the largest term.
     """
 
     alpha_star: float
-    coefficients: tuple
     residual: float
     mi_min: float
 
@@ -152,8 +150,7 @@ def optimal_nnr(a: float, k: float) -> DesignReport:
                 abs(coeffs[2]) * alpha, abs(coeffs[3]))
     residual = abs(_quartic(coeffs, alpha)) / scale
     rate = mi_rate_from_nnr(SystemParams(a=a, k=k, w=0.0), alpha)
-    return DesignReport(alpha_star=alpha, coefficients=coeffs,
-                        residual=residual, mi_min=rate.total)
+    return DesignReport(alpha_star=alpha, residual=residual, mi_min=rate.total)
 
 
 def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
@@ -172,24 +169,20 @@ def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
     return MaskParams(m=m, n=alpha * (m + w))
 
 
-def tradeoff_point(sys: SystemParams, lam: float) -> TradeoffPoint:
-    """Minimize privacy rate + lam * cost rate over the ratio alpha.
+def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
+    """Minimize privacy rate + lam * cost rate over the ratio alpha, for each weight.
 
     Ratios above alpha* increase both terms and are dominated, so the
-    search runs over [TRADEOFF_LO_FACTOR*alpha*, alpha*].  The cost is
-    affine in alpha with slope c1 >= 0, so the exact derivative
-    ``dJ/d(alpha) = mi_rate_from_nnr_derivative + lam*c1`` rises through
-    zero at most once there, and the optimum is its root, found by
-    ``_bisect``.  The returned point satisfies |dJ/d(alpha)| <= 1e-8 unless
-    the derivative is already >= 0 at the floor; alpha is then the floor,
-    flagged via ``at_boundary``.  A zero ``lam*c1`` (lam = 0, q = r = 0, or
-    a product that underflows) leaves the rate alone: alpha is alpha*.
+    search runs over [TRADEOFF_LO_FACTOR*alpha*, alpha*], from one quartic
+    solve for all weights.  The cost is affine in alpha with slope c1 >= 0,
+    so the exact derivative ``dJ/d(alpha) = mi_rate_from_nnr_derivative +
+    lam*c1`` rises through zero at most once there, and the optimum is its
+    root, found by ``_bisect``.  Each point satisfies |dJ/d(alpha)| <= 1e-8
+    unless the derivative is already >= 0 at the floor; alpha is then the
+    floor, flagged via ``at_boundary``.  A zero ``lam*c1`` (lam = 0,
+    q = r = 0, or a product that underflows) leaves the rate alone: alpha
+    is alpha*.
     """
-    return tradeoff_curve(sys, [lam])[0]
-
-
-def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
-    """Trade-off optima for a list of weights, from one quartic solve (see ``tradeoff_point``)."""
     lam_list = list(lambdas)
     if not lam_list:
         raise EmptyInput("lambda list must be nonempty")

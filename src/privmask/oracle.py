@@ -54,7 +54,6 @@ _LABEL_RE = re.compile(r"^(X|Y|Xhat|U)_(\d+)$")
 class JointCovariance:
     """Exact covariance of a chosen ordered set of loop signals."""
 
-    horizon: int
     labels: tuple
     cov: np.ndarray
 
@@ -208,7 +207,7 @@ def joint_covariance(
     _check_horizon(horizon)
     labels = tuple(signals)
     space = _SignalSpace(sys, masks, horizon)
-    return JointCovariance(horizon=horizon, labels=labels, cov=space.cov(space.rows(labels)))
+    return JointCovariance(labels=labels, cov=space.cov(space.rows(labels)))
 
 
 def exact_mi(jc: JointCovariance, block_a: Sequence[str], block_b: Sequence[str]) -> float:
@@ -312,7 +311,7 @@ def consistency_report(
     y_block = [f"Y_{t}" for t in range(horizon + 1)]
     xh_block = [f"Xhat_{t}" for t in range(1, horizon + 1)]
     labels = tuple(x_block + y_block + xh_block)
-    jc = JointCovariance(horizon=horizon, labels=labels, cov=space.cov(space.rows(labels)))
+    jc = JointCovariance(labels=labels, cov=space.cov(space.rows(labels)))
     mi_y = exact_mi(jc, x_block, y_block)
     mi_xh = exact_mi(jc, x_block, xh_block)
 

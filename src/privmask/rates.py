@@ -8,9 +8,9 @@ noise-to-noise ratio ``alpha = n/(m+w)``.
 
 Divergent regimes are reported in-band as IEEE infinities, never as
 exceptions, so parameter sweeps that touch boundary points complete without
-aborting: a missing mask gives an infinite flow (with a ``divergent``
-flag), an unstable closed loop an infinite cost.  Only the ``_from_nnr``
-cost forms, which feed the trade-off search, refuse unstable loops.
+aborting: a missing mask gives an infinite flow, an unstable closed loop
+an infinite cost.  Only the ``_from_nnr`` cost forms, which feed the
+trade-off search, refuse unstable loops.
 """
 
 from __future__ import annotations
@@ -32,14 +32,6 @@ class PrivacyRates:
     uplink: float
     downlink: float
     total: float
-    divergent: bool
-
-
-@dataclass(frozen=True)
-class CostRate:
-    """Per-step quadratic control cost (q*X^2 + r*U^2 in expectation)."""
-
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -51,7 +43,6 @@ class FiniteHorizonInfo:
     ``0.5*log(1 + k^2 n/(m+w))`` per step.
     """
 
-    horizon: int
     forward_sum: float
     backward_sum: float
     total: float
@@ -87,12 +78,7 @@ def mi_rate(sys: SystemParams, masks: MaskParams) -> PrivacyRates:
     """Total privacy-loss rate: uplink + downlink flows, in nats/step."""
     up = uplink_rate(sys, masks)
     down = downlink_rate(sys, masks)
-    return PrivacyRates(
-        uplink=up,
-        downlink=down,
-        total=up + down,
-        divergent=math.isinf(up) or math.isinf(down),
-    )
+    return PrivacyRates(uplink=up, downlink=down, total=up + down)
 
 
 def nnr_prediction_ratio(a: float, alpha: float) -> float:
@@ -114,7 +100,7 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
     s = nnr_prediction_ratio(sys.a, alpha)
     up = 0.5 * math.log1p(s)
     down = 0.5 * math.log1p(sys.k * sys.k * alpha)
-    return PrivacyRates(uplink=up, downlink=down, total=up + down, divergent=False)
+    return PrivacyRates(uplink=up, downlink=down, total=up + down)
 
 
 def mi_rate_from_nnr_derivative(sys: SystemParams, alpha: float) -> float:
@@ -145,7 +131,7 @@ def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:
     return 0.5 * math.log(s) + 0.5 * math.log1p(sys.k * sys.k * alpha)
 
 
-def control_cost_rate(sys: SystemParams, masks: MaskParams) -> CostRate:
+def control_cost_rate(sys: SystemParams, masks: MaskParams) -> float:
     """Steady cost rate (q + r k^2) P + r k^2 n, P from ``steady_state_second_moment``.
 
     ``q = r = 0`` costs 0.0 for every loop.  Otherwise an unstable loop
@@ -153,13 +139,13 @@ def control_cost_rate(sys: SystemParams, masks: MaskParams) -> CostRate:
     and so does the cost.
     """
     if sys.q == 0 and sys.r == 0:
-        return CostRate(cost=0.0)
-    p_ss = steady_state_second_moment(sys, masks).p_ss
+        return 0.0
+    p_ss = steady_state_second_moment(sys, masks)
     if math.isinf(p_ss):
         # r*k^2 can underflow to 0 when q = 0, and 0*inf would be nan
-        return CostRate(cost=math.inf)
+        return math.inf
     k2 = sys.k * sys.k
-    return CostRate(cost=(sys.q + sys.r * k2) * p_ss + sys.r * k2 * masks.n)
+    return (sys.q + sys.r * k2) * p_ss + sys.r * k2 * masks.n
 
 
 def control_cost_rate_from_nnr(sys: SystemParams, alpha: float) -> float:
@@ -198,10 +184,5 @@ def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> F
     forward_terms = 0.5 * np.log1p(s_pred / masks.n)
     forward = float(forward_terms.sum())
     backward = horizon * 0.5 * math.log1p(sys.k * sys.k * masks.n / p)
-    return FiniteHorizonInfo(
-        horizon=horizon,
-        forward_sum=forward,
-        backward_sum=backward,
-        total=forward + backward,
-        forward_terms=forward_terms,
-    )
+    return FiniteHorizonInfo(forward_sum=forward, backward_sum=backward,
+                             total=forward + backward, forward_terms=forward_terms)

@@ -33,22 +33,13 @@ class RiccatiSolution:
     Attributes
     ----------
     sigma : steady one-step prediction error variance
-    gain : steady filter gain sigma/(sigma+n)
     transient : S_t for t = 1..T_conv (monotone, converging to sigma)
     iterations : number of recursion steps taken
     """
 
     sigma: float
-    gain: float
     transient: np.ndarray
     iterations: int
-
-
-@dataclass(frozen=True)
-class SecondMoment:
-    """Steady second moment P of the closed-loop state."""
-
-    p_ss: float
 
 
 def solve_are(a: float, p: float, n: float) -> float:
@@ -153,15 +144,12 @@ def iterate_prediction_covariance(a: float, p: float, n: float) -> RiccatiSoluti
         s_next = a * a * ((1.0 - l) ** 2 * s + l * l * n) + p
         transient.append(s_next)
         if abs(s_next - s) <= ITERATION_TOL:
-            s = s_next
-            return RiccatiSolution(
-                sigma=s, gain=_gain(s, n), transient=np.array(transient), iterations=it
-            )
+            return RiccatiSolution(sigma=s_next, transient=np.array(transient), iterations=it)
         s = s_next
     raise NoConvergence(f"no convergence within {MAX_ITERATIONS} iterations (a={a}, p={p}, n={n})")
 
 
-def steady_state_second_moment(sys: SystemParams, masks: MaskParams) -> SecondMoment:
+def steady_state_second_moment(sys: SystemParams, masks: MaskParams) -> float:
     """Steady state second moment P = (m + k^2 n + w) / (1 - (a+k)^2).
 
     Equals the limit of P_t = (a+k)^2 P_{t-1} + m + k^2 n + w from P_0 = 0.
@@ -170,6 +158,6 @@ def steady_state_second_moment(sys: SystemParams, masks: MaskParams) -> SecondMo
     """
     stable, margin = closed_loop_stable(sys)
     if stable:
-        return SecondMoment(p_ss=(masks.m + sys.k * sys.k * masks.n + sys.w) / margin)
+        return (masks.m + sys.k * sys.k * masks.n + sys.w) / margin
     noiseless = masks.m == 0 and masks.n == 0 and sys.w == 0
-    return SecondMoment(p_ss=0.0 if noiseless else math.inf)
+    return 0.0 if noiseless else math.inf

@@ -181,10 +181,12 @@ class TestConfigFile:
         ("verify", '{"a": 1, "k": -1, "T": "3"}'),
         ("grid", '{"a": 1, "k": -1, "m-range": "0:0:1"}'),
         ("analyze", '{"a": 1, "k": -1, "nn": 0.1}'),
+        ("design", '{"a": 0.5, "k": -0.4, "lambda": "10"}'),
+        ("design", '{"a": 0.5, "k": -0.4, "lambda": {"1": 0}}'),
     ], ids=["malformed-json", "non-numeric-entry", "non-list-lambda", "non-string-output",
             "fractional-integer", "boolean-integer", "unknown-format", "non-boolean-bits",
             "boolean-number", "string-lambda", "string-integer", "flag-spelled-key",
-            "unknown-key"])
+            "unknown-key", "digit-string-lambda", "object-lambda"])
     def test_malformed_config_is_a_typed_error(self, capsys, tmp_path, command, text):
         cfg = tmp_path / "run.json"
         cfg.write_text(text)

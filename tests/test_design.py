@@ -24,7 +24,6 @@ from privmask import (
     quartic_coefficients,
     robustness_sweep,
     tradeoff_curve,
-    tradeoff_point,
 )
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
@@ -80,7 +79,7 @@ class TestOptimalNnr:
         report = optimal_nnr(0.0, 0.5)
         assert report.alpha_star == pytest.approx(2.0, abs=1e-9)
         assert report.mi_min == pytest.approx(math.log(1.5), abs=1e-12)
-        assert report.coefficients == (1.0, 2.0, -8.0, -16.0)
+        assert quartic_coefficients(0.0, 0.5) == (1.0, 2.0, -8.0, -16.0)
 
     def test_anchor_root(self):
         report = optimal_nnr(1.0, -1.0)
@@ -152,26 +151,26 @@ class TestMasksFromNnr:
 class TestTradeoff:
     def test_zero_weight_reduces_to_optimal_nnr(self):
         report = optimal_nnr(1.0, -1.0)
-        pt = tradeoff_point(ANCHOR, 0.0)
+        (pt,) = tradeoff_curve(ANCHOR, [0.0])
         assert pt.alpha == report.alpha_star
         assert pt.mi == report.mi_min
         assert pt.objective == pt.mi
 
     def test_unit_weight_reference_point(self):
         # frozen against an independent dense-grid search of the objective
-        pt = tradeoff_point(ANCHOR, 1.0)
+        (pt,) = tradeoff_curve(ANCHOR, [1.0])
         assert pt.alpha == pytest.approx(0.5875289592, abs=1e-6)
         assert pt.objective == pytest.approx(1.0323804589, abs=1e-9)
         assert pt.cost == pytest.approx(0.1 + 0.15 * pt.alpha, rel=1e-12)
 
     def test_heavy_weight_pushes_alpha_down_but_positive(self):
-        pt = tradeoff_point(ANCHOR, 1000.0)
+        (pt,) = tradeoff_curve(ANCHOR, [1000.0])
         assert 0 < pt.alpha < 0.05
         assert not pt.at_boundary
 
     def test_matches_independent_grid_search(self):
         lam = 2.0
-        pt = tradeoff_point(ANCHOR, lam)
+        (pt,) = tradeoff_curve(ANCHOR, [lam])
         grid = np.geomspace(1e-4, optimal_nnr(1.0, -1.0).alpha_star, 200_001)
         vals = [mi_rate_from_nnr(ANCHOR, g).total + lam * (0.1 + 0.15 * g) for g in grid]
         j = int(np.argmin(vals))
@@ -193,13 +192,13 @@ class TestTradeoff:
         # alpha* ~ 1e6 here; the refinement must cope with intervals whose
         # width target is below one ulp of the endpoints
         sys_ = SystemParams(a=0.0, k=1e-6, w=0.05, q=1, r=1)
-        pt = tradeoff_point(sys_, 1e-3)
+        (pt,) = tradeoff_curve(sys_, [1e-3])
         assert 0 < pt.alpha <= optimal_nnr(0.0, 1e-6).alpha_star + 1e-3
 
     def test_recovers_the_closed_form_front(self):
         # needs no root finding: at s = sigma/n the ratio is alpha(s) and the
-        # weight lam(s) zeroes dJ/d(alpha) there, so tradeoff_point(lam(s))
-        # must land on alpha(s)
+        # weight lam(s) zeroes dJ/d(alpha) there, so the trade-off point at
+        # lam(s) must land on alpha(s)
         rng = np.random.default_rng(20240605)
         systems = [stable_system(rng) for _ in range(60)]
         systems.append(SystemParams(a=0.0, k=1e-6, w=0.05, q=1, r=1))  # alpha* ~ 1e6
@@ -209,7 +208,7 @@ class TestTradeoff:
             s_floor = nnr_prediction_ratio(sys_.a, design.TRADEOFF_LO_FACTOR * astar)
             for u in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
                 alpha, lam = front_point(sys_, s_star * (s_floor / s_star) ** u)
-                pt = tradeoff_point(sys_, lam)
+                (pt,) = tradeoff_curve(sys_, [lam])
                 assert not pt.at_boundary, (sys_, lam)
                 assert pt.alpha == pytest.approx(alpha, rel=1e-12), (sys_, lam)
 
@@ -220,7 +219,7 @@ class TestTradeoff:
             floor = design.TRADEOFF_LO_FACTOR * astar
             alpha, lam = front_point(sys_, 2.0 * nnr_prediction_ratio(sys_.a, floor))
             assert alpha < floor
-            pt = tradeoff_point(sys_, lam)
+            (pt,) = tradeoff_curve(sys_, [lam])
             assert pt.at_boundary
             assert pt.alpha == floor
 
@@ -229,13 +228,13 @@ class TestTradeoff:
         free = SystemParams(a=1, k=-1, w=0.05, q=0, r=0)
         for sys_, lam in ((free, 1.0), (free, 1e4), (ANCHOR, 5e-324)):  # 5e-324 * c1 underflows
             assert lam * control_cost_rate_from_nnr_derivative(sys_) == 0
-            pt = tradeoff_point(sys_, lam)
+            (pt,) = tradeoff_curve(sys_, [lam])
             assert pt.alpha == astar
             assert not pt.at_boundary
 
     def test_fields_are_plain_floats(self):
         for lam in (0.0,) + WORKLOAD_LAMBDAS:
-            pt = tradeoff_point(ANCHOR, lam)
+            (pt,) = tradeoff_curve(ANCHOR, [lam])
             for field in ("alpha", "mi", "cost", "objective"):
                 assert type(getattr(pt, field)) is float, (lam, field)
 
@@ -250,17 +249,17 @@ class TestTradeoff:
         monkeypatch.setattr(design, "mi_rate_from_nnr", counting)
         for lam in (1e-4, 1.0, 1e4):
             scalar_calls.clear()
-            tradeoff_point(ANCHOR, lam)
+            tradeoff_curve(ANCHOR, [lam])
             assert len(scalar_calls) < 200
 
     def test_validation(self):
         for lam in (-0.5, math.nan, math.inf, -math.inf):
             with pytest.raises(NegativeWeight):
-                tradeoff_point(ANCHOR, lam)
+                tradeoff_curve(ANCHOR, [lam])
         with pytest.raises(UnstableClosedLoop):
-            tradeoff_point(SystemParams(a=0.9, k=0.2, w=0.05, q=1, r=1), 1.0)
+            tradeoff_curve(SystemParams(a=0.9, k=0.2, w=0.05, q=1, r=1), [1.0])
         with pytest.raises(ZeroProcessNoise):
-            tradeoff_point(SystemParams(a=1, k=-1, w=0.0, q=1, r=1), 1.0)
+            tradeoff_curve(SystemParams(a=1, k=-1, w=0.0, q=1, r=1), [1.0])
         with pytest.raises(EmptyInput):
             tradeoff_curve(ANCHOR, [])
 

@@ -61,10 +61,9 @@ class TestMiRate:
         rates = mi_rate(ANCHOR, ANCHOR_MASKS)
         assert rates.total == pytest.approx(0.8277854153395761, abs=1e-12)
         assert rates.total == rates.uplink + rates.downlink
-        assert not rates.divergent
 
     def test_divergent_flag(self):
-        assert mi_rate(ANCHOR, MaskParams(m=0, n=0)).divergent
+        assert math.isinf(mi_rate(ANCHOR, MaskParams(m=0, n=0)).total)
 
     def test_memoryless_closed_form(self):
         # a=0 collapses the root to 1/alpha
@@ -121,15 +120,15 @@ class TestMiRateFromNnr:
 
 class TestCostRate:
     def test_anchor_quarter(self):
-        assert control_cost_rate(ANCHOR, ANCHOR_MASKS).cost == pytest.approx(0.25, abs=1e-15)
+        assert control_cost_rate(ANCHOR, ANCHOR_MASKS) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_weights(self):
         s = SystemParams(a=1, k=-1, w=0.05, q=0, r=0)
-        assert control_cost_rate(s, ANCHOR_MASKS).cost == 0.0
+        assert control_cost_rate(s, ANCHOR_MASKS) == 0.0
 
     def test_unstable_rejected(self):
         cost = control_cost_rate(SystemParams(a=0.9, k=0.2, w=0.05, q=1, r=1), ANCHOR_MASKS)
-        assert cost.cost == math.inf
+        assert cost == math.inf
 
     @pytest.mark.parametrize("sys_, masks, want", [
         # q = r = 0 costs nothing on any loop
@@ -146,14 +145,14 @@ class TestCostRate:
     ], ids=["no-weights", "noise-free", "noise-free-q0", "uplink-mask", "downlink-mask",
             "process-noise", "rk2-underflow"])
     def test_unstable_loop_rules(self, sys_, masks, want):
-        assert control_cost_rate(sys_, masks).cost == want
+        assert control_cost_rate(sys_, masks) == want
 
     def test_nnr_form_matches_masks_on_line(self):
         # C(alpha, 0, 0) is the cost at m=0, n=alpha*w
         for alpha in (0.2, 1.0, 3.0):
             masks = MaskParams(m=0, n=alpha * ANCHOR.w)
             assert control_cost_rate_from_nnr(ANCHOR, alpha) == pytest.approx(
-                control_cost_rate(ANCHOR, masks).cost, rel=1e-14)
+                control_cost_rate(ANCHOR, masks), rel=1e-14)
         assert control_cost_rate_from_nnr_derivative(ANCHOR) == pytest.approx(0.15)
 
 
