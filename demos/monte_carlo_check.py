@@ -24,7 +24,7 @@ HORIZON, TRAJECTORIES, SEED = 100_000, 64, 7
 print(f"simulating {TRAJECTORIES} trajectories of {HORIZON} steps (seed {SEED}) ...")
 batch = simulate(SYS, MASKS, HORIZON, TRAJECTORIES, seed=SEED)
 
-cost, cost_se = empirical_cost(batch, SYS.q, SYS.r)
+cost, cost_se = empirical_cost(batch)
 cost_cf = control_cost_rate(SYS, MASKS)
 sigma, sigma_se = empirical_prediction_error(batch)
 sigma_cf = solve_are(SYS.a, MASKS.m + SYS.w, MASKS.n)

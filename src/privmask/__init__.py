@@ -28,7 +28,6 @@ from .errors import (
     HorizonTooLarge,
     HorizonTooShort,
     IllDefinedNnr,
-    NegativeInput,
     NegativeVariance,
     NegativeWeight,
     NoConvergence,
@@ -62,17 +61,14 @@ from .rates import (
     control_cost_rate,
     control_cost_rate_from_nnr,
     control_cost_rate_from_nnr_derivative,
-    downlink_rate,
     finite_horizon_info,
     mi_rate,
     mi_rate_from_nnr,
     mi_rate_from_nnr_alt,
     mi_rate_from_nnr_derivative,
     nnr_prediction_ratio,
-    uplink_rate,
 )
 from .riccati import (
-    RiccatiSolution,
     gain_schedule,
     iterate_prediction_covariance,
     prediction_covariances,
@@ -84,10 +80,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams", "MaskParams", "StabilityCheck", "closed_loop_stable", "require_stable",
-    "RiccatiSolution", "solve_are", "prediction_covariances",
+    "solve_are", "prediction_covariances",
     "gain_schedule", "iterate_prediction_covariance", "steady_state_second_moment",
-    "PrivacyRates", "FiniteHorizonInfo", "uplink_rate",
-    "downlink_rate", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
+    "PrivacyRates", "FiniteHorizonInfo", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
     "mi_rate_from_nnr_derivative", "nnr_prediction_ratio", "control_cost_rate",
     "control_cost_rate_from_nnr", "control_cost_rate_from_nnr_derivative",
     "finite_horizon_info",
@@ -99,7 +94,7 @@ __all__ = [
     "quartic_coefficients", "optimal_nnr", "masks_from_nnr",
     "tradeoff_curve", "boundary_diagnostics", "robustness_sweep",
     "PrivmaskError", "ZeroGain", "NegativeVariance", "NegativeWeight",
-    "IllDefinedNnr", "NegativeInput", "NoConvergence", "UnstableClosedLoop",
+    "IllDefinedNnr", "NoConvergence", "UnstableClosedLoop",
     "DegenerateMasks", "HorizonTooLarge", "HorizonTooShort", "SingularBlock",
     "NonPositiveAlpha", "ZeroProcessNoise", "EmptyInput", "NonPositiveCount",
 ]

@@ -368,7 +368,7 @@ def cmd_simulate(cfg: dict) -> int:
 
     sysp, masks = _system(cfg), _masks(cfg)
     (cost, cost_se), (sigma, sigma_se) = simulate_moments(
-        sysp, masks, cfg["T"], cfg["trajectories"], cfg["seed"], cfg["q"], cfg["r"])
+        sysp, masks, cfg["T"], cfg["trajectories"], cfg["seed"])
     cf_cost = control_cost_rate(sysp, masks)
     cf_sigma = solve_are(cfg["a"], cfg["m"] + cfg["w"], cfg["n"])
     ok = abs(cost - cf_cost) <= 3 * cost_se and abs(sigma - cf_sigma) <= 3 * sigma_se

@@ -15,7 +15,7 @@ class ZeroGain(PrivmaskError):
 
 
 class NegativeVariance(PrivmaskError):
-    """A noise variance (w, m or n) is negative."""
+    """A noise variance (w, m, n or their sum p = m + w) is negative."""
 
 
 class NegativeWeight(PrivmaskError):
@@ -24,10 +24,6 @@ class NegativeWeight(PrivmaskError):
 
 class IllDefinedNnr(PrivmaskError):
     """m + w = 0: the noise-to-noise ratio n/(m+w) is undefined."""
-
-
-class NegativeInput(PrivmaskError):
-    """A quantity that must be nonnegative (variance-like) is negative."""
 
 
 class NoConvergence(PrivmaskError):

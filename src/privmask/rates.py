@@ -2,9 +2,10 @@
 
 Per step, the uplink information flow costs ``0.5*log(1 + sigma/n)`` nats
 and the downlink flow ``0.5*log(1 + k^2 n/(m+w))`` nats, where ``sigma`` is
-the steady prediction variance from :mod:`privmask.riccati`.  Their sum,
-the total privacy-loss rate, depends on the masks only through the
-noise-to-noise ratio ``alpha = n/(m+w)``.
+the steady prediction variance from :mod:`privmask.riccati`.  Both are
+computed by one kernel, ``_flow``.  Their sum, the total privacy-loss rate
+``mi_rate``, depends on the masks only through the noise-to-noise ratio
+``alpha = n/(m+w)``.
 
 Divergent regimes are reported in-band as IEEE infinities, never as
 exceptions, so parameter sweeps that touch boundary points complete without
@@ -49,35 +50,31 @@ class FiniteHorizonInfo:
     forward_terms: np.ndarray
 
 
-def uplink_rate(sys: SystemParams, masks: MaskParams) -> float:
-    """Steady uplink flow 0.5*log(1 + sigma/n) in nats/step.
+def _flow(num: float, den: float) -> float:
+    """Information flow 0.5*log(1 + num/den) in nats, for num, den >= 0.
 
-    Returns ``inf`` when n = 0 while m + w > 0 (no uplink mask: unbounded
-    leak) and 0.0 when every noise source is zero (all signals vanish).
+    Returns ``inf`` when only ``den`` is 0 (an unmasked signal leaks without
+    bound) and 0.0 when both are (no signal).  Where num/den overflows a
+    double while the flow is finite, it is taken as 0.5*(log num - log den).
     """
-    p = masks.m + sys.w
-    if masks.n == 0:
-        return math.inf if p > 0 else 0.0
-    sigma = solve_are(sys.a, p, masks.n)
-    return 0.5 * math.log1p(sigma / masks.n)
-
-
-def downlink_rate(sys: SystemParams, masks: MaskParams) -> float:
-    """Steady downlink flow 0.5*log(1 + k^2 n/(m+w)) in nats/step.
-
-    Returns ``inf`` when m + w = 0 while n > 0 (the cloud can replay its
-    own commands through noiseless dynamics) and 0.0 when n = 0.
-    """
-    p = masks.m + sys.w
-    if p == 0:
-        return math.inf if masks.n > 0 else 0.0
-    return 0.5 * math.log1p(sys.k * sys.k * masks.n / p)
+    if den == 0:
+        return math.inf if num > 0 else 0.0
+    ratio = num / den
+    if ratio == math.inf:
+        return 0.5 * (math.log(num) - math.log(den))
+    return 0.5 * math.log1p(ratio)
 
 
 def mi_rate(sys: SystemParams, masks: MaskParams) -> PrivacyRates:
-    """Total privacy-loss rate: uplink + downlink flows, in nats/step."""
-    up = uplink_rate(sys, masks)
-    down = downlink_rate(sys, masks)
+    """Total privacy-loss rate: uplink + downlink flows, in nats/step.
+
+    A missing mask gives ``inf``: the uplink flow when n = 0 < m + w, the
+    downlink flow when m + w = 0 < n.  With no noise at all both are 0.0.
+    """
+    p = masks.m + sys.w
+    up = _flow(solve_are(sys.a, p, masks.n), masks.n)
+    # k != 0: at m + w = 0 pass n itself, since k^2 n can underflow to 0
+    down = _flow(sys.k * sys.k * masks.n if p > 0 else masks.n, p)
     return PrivacyRates(uplink=up, downlink=down, total=up + down)
 
 
@@ -98,8 +95,8 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
     Identical to ``mi_rate`` for every mask pair with n = alpha*(m+w).
     """
     s = nnr_prediction_ratio(sys.a, alpha)
-    up = 0.5 * math.log1p(s)
-    down = 0.5 * math.log1p(sys.k * sys.k * alpha)
+    up = _flow(s, 1.0)
+    down = _flow(sys.k * sys.k * alpha, 1.0)
     return PrivacyRates(uplink=up, downlink=down, total=up + down)
 
 
@@ -128,7 +125,7 @@ def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:
     term is the one the finite-horizon sums and the exact oracle confirm.
     """
     s = nnr_prediction_ratio(sys.a, alpha)
-    return 0.5 * math.log(s) + 0.5 * math.log1p(sys.k * sys.k * alpha)
+    return 0.5 * math.log(s) + _flow(sys.k * sys.k * alpha, 1.0)
 
 
 def control_cost_rate(sys: SystemParams, masks: MaskParams) -> float:
@@ -172,8 +169,8 @@ def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> F
     """Exact information sums over a finite horizon.
 
     Requires n > 0 and m + w > 0 (otherwise the sums are unbounded or the
-    per-step terms degenerate).  ``forward_sum/horizon`` converges to
-    ``uplink_rate`` as the horizon grows.
+    per-step terms degenerate).  ``forward_sum/horizon`` converges to the
+    ``mi_rate`` uplink flow as the horizon grows.
     """
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
@@ -183,6 +180,6 @@ def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> F
     s_pred = prediction_covariances(sys.a, p, masks.n, horizon)
     forward_terms = 0.5 * np.log1p(s_pred / masks.n)
     forward = float(forward_terms.sum())
-    backward = horizon * 0.5 * math.log1p(sys.k * sys.k * masks.n / p)
+    backward = horizon * _flow(sys.k * sys.k * masks.n, p)
     return FiniteHorizonInfo(forward_sum=forward, backward_sum=backward,
                              total=forward + backward, forward_terms=forward_terms)

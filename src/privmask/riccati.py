@@ -14,32 +14,15 @@ filtering recursion itself, providing an independent numerical route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeInput, NoConvergence
+from .errors import NegativeVariance, NoConvergence
 from .params import MaskParams, SystemParams, closed_loop_stable
 
 ITERATION_TOL = 1e-12
 MAX_ITERATIONS = 10**6
 _MIN_NORMAL = float.fromhex("0x1p-1022")  # the smallest normal double
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """Result of iterating the prediction-covariance recursion.
-
-    Attributes
-    ----------
-    sigma : steady one-step prediction error variance
-    transient : S_t for t = 1..T_conv (monotone, converging to sigma)
-    iterations : number of recursion steps taken
-    """
-
-    sigma: float
-    transient: np.ndarray
-    iterations: int
 
 
 def solve_are(a: float, p: float, n: float) -> float:
@@ -53,7 +36,7 @@ def solve_are(a: float, p: float, n: float) -> float:
     is known exactly, which is also the limit as p -> 0 or n -> 0.
     """
     if p < 0 or n < 0:
-        raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
+        raise NegativeVariance(f"p and n must be >= 0, got p={p}, n={n}")
     b = (a * a - 1.0) * n + p
     # hypot form avoids overflow of b*b and p*n for extreme magnitudes
     disc = math.hypot(b, 2.0 * math.sqrt(p) * math.sqrt(n))
@@ -97,7 +80,7 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
     same bits as running to the end.
     """
     if p < 0 or n < 0:
-        raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
+        raise NegativeVariance(f"p and n must be >= 0, got p={p}, n={n}")
     s_pred = np.empty(horizon)
     gains = np.empty(horizon)
     post2, post1 = math.nan, 0.0  # the posterior two steps back (none yet) and one step back
@@ -115,13 +98,15 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
     return s_pred, gains
 
 
-def iterate_prediction_covariance(a: float, p: float, n: float) -> RiccatiSolution:
+def iterate_prediction_covariance(a: float, p: float, n: float) -> np.ndarray:
     """Fixed-point iteration of the prediction-covariance recursion.
 
     Iterates S_{t+1} = a^2 * ((1-l_t)^2 S_t + l_t^2 n) + p with
     l_t = S_t/(S_t + n) from S_1 = p until successive values differ by at
-    most ``ITERATION_TOL``, within ``MAX_ITERATIONS`` steps.  The final
-    value agrees with ``solve_are`` within 10*ITERATION_TOL.
+    most ``ITERATION_TOL``, within ``MAX_ITERATIONS`` steps, and returns the
+    transient S_1, S_2, ... as an array: its length less one is the number
+    of steps taken, and its last value, the fixed point, agrees with
+    ``solve_are`` within 10*ITERATION_TOL.
 
     ``p = n = 0`` converges in one step to 0 for every ``a``, as
     ``solve_are`` does.  The noiseless-uplink case ``n = 0 < p`` with
@@ -131,7 +116,7 @@ def iterate_prediction_covariance(a: float, p: float, n: float) -> RiccatiSoluti
     regime.
     """
     if p < 0 or n < 0:
-        raise NegativeInput(f"p and n must be >= 0, got p={p}, n={n}")
+        raise NegativeVariance(f"p and n must be >= 0, got p={p}, n={n}")
     if n == 0 and p > 0 and abs(a) >= 1:
         raise NoConvergence(
             f"n = 0 with |a| = {abs(a)} >= 1: covariance iteration not supported "
@@ -139,12 +124,12 @@ def iterate_prediction_covariance(a: float, p: float, n: float) -> RiccatiSoluti
         )
     transient = [p]
     s = p
-    for it in range(1, MAX_ITERATIONS + 1):
+    for _ in range(MAX_ITERATIONS):
         l = _gain(s, n)
         s_next = a * a * ((1.0 - l) ** 2 * s + l * l * n) + p
         transient.append(s_next)
         if abs(s_next - s) <= ITERATION_TOL:
-            return RiccatiSolution(sigma=s_next, transient=np.array(transient), iterations=it)
+            return np.array(transient)
         s = s_next
     raise NoConvergence(f"no convergence within {MAX_ITERATIONS} iterations (a={a}, p={p}, n={n})")
 

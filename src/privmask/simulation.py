@@ -53,8 +53,6 @@ class TrajectoryBatch:
 
     sys: SystemParams
     masks: MaskParams
-    horizon: int
-    n_trajectories: int
     seed: int
     x: np.ndarray
     n: np.ndarray
@@ -204,20 +202,19 @@ def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
         for name, rows in block.items():
             full[name][:, t0:t0 + len(rows)] = rows.T
     return TrajectoryBatch(
-        sys=sys, masks=masks, horizon=horizon, n_trajectories=n_trajectories,
-        seed=seed, s_pred=np.concatenate([[0.0], s_seq]),
+        sys=sys, masks=masks, seed=seed, s_pred=np.concatenate([[0.0], s_seq]),
         gain=np.concatenate([[0.0], gains]), **full,
     )
 
 
 def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
-                     n_trajectories: int, seed: int, q: float, r: float,
-                     burn_in: int = DEFAULT_BURN_IN) -> tuple:
+                     n_trajectories: int, seed: int, burn_in: int = DEFAULT_BURN_IN) -> tuple:
     """Streaming ``(empirical_cost, empirical_prediction_error)`` of a simulation.
 
-    Returns ``((cost, cost_se), (sigma, sigma_se))`` for the same paths that
-    ``simulate`` with these arguments produces, without ever holding the full
-    batch: memory grows with ``n_trajectories * BLOCK_STEPS``, and the only
+    Returns ``((cost, cost_se), (sigma, sigma_se))``, the cost weighted by
+    ``sys.q`` and ``sys.r``, for the same paths that ``simulate`` with these
+    arguments produces, without ever holding the full batch: memory grows
+    with ``n_trajectories * BLOCK_STEPS``, and the only
     allocation that grows with the horizon is the shared gain schedule.
     Each trajectory's terms are added in time order in one sequential sum
     carried across blocks, so the result does not depend on the block
@@ -238,8 +235,8 @@ def simulate_moments(sys: SystemParams, masks: MaskParams, horizon: int,
         c = terms[:len(x)]
         cost, err = c[:, 0], c[:, 1]
         # q*x**2 + r*u**2 and (x - pred)**2
-        np.multiply(q, np.square(x, out=cost), out=cost)
-        np.multiply(r, np.square(u, out=err), out=err)
+        np.multiply(sys.q, np.square(x, out=cost), out=cost)
+        np.multiply(sys.r, np.square(u, out=err), out=err)
         np.add(cost, err, out=cost)
         np.square(np.subtract(x, pred, out=err), out=err)
         # rows of 2n >= 2 columns reduce row after row, never pairwise
@@ -258,17 +255,17 @@ def _check_moment_preconditions(sys: SystemParams, horizon: int, burn_in: int) -
     require_stable(sys)
 
 
-def empirical_cost(batch: TrajectoryBatch, q: float, r: float,
-                   burn_in: int = DEFAULT_BURN_IN) -> tuple:
+def empirical_cost(batch: TrajectoryBatch, burn_in: int = DEFAULT_BURN_IN) -> tuple:
     """Mean and standard error of the per-step cost q*X^2 + r*U^2.
 
-    Averages over t > burn_in within each trajectory first; the standard
-    error is taken across trajectory means, which sidesteps the
-    within-trajectory autocorrelation.
+    The weights q and r are the plant's, ``batch.sys``.  Averages over
+    t > burn_in within each trajectory first; the standard error is taken
+    across trajectory means, which sidesteps the within-trajectory
+    autocorrelation.
     """
-    _check_moment_preconditions(batch.sys, batch.horizon, burn_in)
+    _check_moment_preconditions(batch.sys, batch.x.shape[1] - 1, burn_in)
     sl = slice(burn_in + 1, None)
-    per_traj = (q * batch.x[:, sl] ** 2 + r * batch.u[:, sl] ** 2).mean(axis=1)
+    per_traj = (batch.sys.q * batch.x[:, sl] ** 2 + batch.sys.r * batch.u[:, sl] ** 2).mean(axis=1)
     return _mean_stderr(per_traj)
 
 
@@ -280,7 +277,7 @@ def empirical_prediction_error(batch: TrajectoryBatch,
     ``riccati.solve_are`` (the error has zero mean, so the raw second
     moment is the variance estimator).
     """
-    _check_moment_preconditions(batch.sys, batch.horizon, burn_in)
+    _check_moment_preconditions(batch.sys, batch.x.shape[1] - 1, burn_in)
     sl = slice(burn_in + 1, None)
     per_traj = ((batch.x[:, sl] - batch.xhat_pred[:, sl]) ** 2).mean(axis=1)
     return _mean_stderr(per_traj)

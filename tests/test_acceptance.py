@@ -78,7 +78,7 @@ def test_01_riccati_closed_form_vs_iteration():
         p = 1.0 - rng.uniform(0, 1)  # (0, 1]
         n = 1.0 - rng.uniform(0, 1)
         closed = solve_are(a, p, n)
-        iterated = iterate_prediction_covariance(a, p, n).sigma
+        iterated = iterate_prediction_covariance(a, p, n)[-1]
         worst_gap = max(worst_gap, abs(closed - iterated))
         residual = abs((a * a * n / (closed + n) - 1.0) * closed + p)
         worst_residual = max(worst_residual, residual / max(1.0, closed))
@@ -184,7 +184,7 @@ def test_06_interior_minimum_in_uplink_variance():
 def test_07_monte_carlo_cost_and_prediction_error():
     t0 = time.perf_counter()
     batch = simulate(ANCHOR, ANCHOR_MASKS, 100_000, 64, seed=7)
-    cost, cost_se = empirical_cost(batch, 1.0, 1.0)
+    cost, cost_se = empirical_cost(batch)
     sigma, sigma_se = empirical_prediction_error(batch)
     sigma_cf = solve_are(1.0, 0.05, 0.05)
     elapsed = time.perf_counter() - t0

@@ -12,12 +12,11 @@ from privmask import (
     SingularBlock,
     SystemParams,
     consistency_report,
-    downlink_rate,
     exact_directed_info,
     exact_mi,
     finite_horizon_info,
     joint_covariance,
-    uplink_rate,
+    mi_rate,
 )
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
@@ -221,9 +220,9 @@ class TestDirectedInfo:
         # a = 1, k = -1 is stable; by T = 200 the prediction variance has
         # settled, so the last forward term is the steady-state uplink rate
         di = exact_directed_info(ANCHOR, ANCHOR_MASKS, 200, "Y")
-        assert di.forward_terms[-1] == pytest.approx(uplink_rate(ANCHOR, ANCHOR_MASKS), abs=1e-12)
-        assert np.allclose(di.backward_terms, downlink_rate(ANCHOR, ANCHOR_MASKS),
-                           rtol=0, atol=1e-12)
+        rates = mi_rate(ANCHOR, ANCHOR_MASKS)
+        assert di.forward_terms[-1] == pytest.approx(rates.uplink, abs=1e-12)
+        assert np.allclose(di.backward_terms, rates.downlink, rtol=0, atol=1e-12)
 
 
 class TestConsistencyReport:

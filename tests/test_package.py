@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,18 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_every_export_resolves():
     missing = [name for name in privmask.__all__ if not hasattr(privmask, name)]
     assert missing == []
+
+
+def test_library_tour_names_are_exported():
+    # the contents column of README's "Library tour" table, less parenthesized text
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library tour", 1)[1].split("\n\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[2] for line in table.splitlines()[2:]]
+    names = []
+    for cell in rows:
+        names += re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
+    assert len(rows) == 6 and len(names) > 20
+    assert [name for name in names if name not in privmask.__all__] == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])

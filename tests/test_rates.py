@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,14 +12,13 @@ from privmask import (
     control_cost_rate,
     control_cost_rate_from_nnr,
     control_cost_rate_from_nnr_derivative,
-    downlink_rate,
     finite_horizon_info,
     mi_rate,
     mi_rate_from_nnr,
     mi_rate_from_nnr_alt,
     mi_rate_from_nnr_derivative,
     nnr_prediction_ratio,
-    uplink_rate,
+    solve_are,
 )
 
 ANCHOR = SystemParams(a=1, k=-1, w=0.05, q=1, r=1)
@@ -28,32 +28,54 @@ GOLDEN = (1 + math.sqrt(5)) / 2
 
 class TestUplinkRate:
     def test_anchor_is_log_golden_ratio(self):
-        assert uplink_rate(ANCHOR, ANCHOR_MASKS) == pytest.approx(math.log(GOLDEN), abs=1e-12)
+        assert mi_rate(ANCHOR, ANCHOR_MASKS).uplink == pytest.approx(math.log(GOLDEN), abs=1e-12)
 
     def test_divergent_without_uplink_mask(self):
-        assert uplink_rate(ANCHOR, MaskParams(m=0, n=0)) == math.inf
+        assert mi_rate(ANCHOR, MaskParams(m=0, n=0)).uplink == math.inf
 
     def test_memoryless_half_log_two(self):
         s = SystemParams(a=0, k=0.5, w=0.05)
-        assert uplink_rate(s, MaskParams(m=0.1, n=0.15)) == pytest.approx(
+        assert mi_rate(s, MaskParams(m=0.1, n=0.15)).uplink == pytest.approx(
             0.5 * math.log(2), abs=1e-12)
 
     def test_all_zero_noise_gives_zero(self):
         s = SystemParams(a=0.5, k=-0.2, w=0.0)
-        assert uplink_rate(s, MaskParams(m=0, n=0)) == 0.0
+        assert mi_rate(s, MaskParams(m=0, n=0)).uplink == 0.0
 
 
 class TestDownlinkRate:
     def test_anchor(self):
-        assert downlink_rate(ANCHOR, ANCHOR_MASKS) == pytest.approx(
+        assert mi_rate(ANCHOR, ANCHOR_MASKS).downlink == pytest.approx(
             0.5 * math.log(2), abs=1e-12)
 
     def test_zero_without_uplink_mask(self):
-        assert downlink_rate(ANCHOR, MaskParams(m=0.3, n=0)) == 0.0
+        assert mi_rate(ANCHOR, MaskParams(m=0.3, n=0)).downlink == 0.0
 
     def test_divergent_with_noiseless_dynamics(self):
         s = SystemParams(a=0.5, k=-0.2, w=0.0)
-        assert downlink_rate(s, MaskParams(m=0, n=0.1)) == math.inf
+        assert mi_rate(s, MaskParams(m=0, n=0.1)).downlink == math.inf
+
+
+class TestFlowOverflow:
+    """A flow whose signal-to-noise ratio overflows a double stays finite."""
+
+    def test_uplink_with_a_subnormal_mask(self):
+        # sigma/n is about 5e318; the flow is 366.9 nats
+        n = 1e-320
+        sigma = solve_are(1.0, 0.05, n)
+        up = mi_rate(SystemParams(a=1, k=-1, w=0.05), MaskParams(m=0, n=n)).uplink
+        assert up == pytest.approx(float(0.5 * mpmath.log1p(mpmath.mpf(sigma) / n)), rel=1e-15)
+
+    def test_downlink_with_a_subnormal_denominator(self):
+        # k^2 n/(m+w) = 1e320; the flow is 368.4 nats
+        down = mi_rate(SystemParams(a=1, k=-1, w=0), MaskParams(m=1e-320, n=1)).downlink
+        assert down == pytest.approx(float(0.5 * mpmath.log1p(1 / mpmath.mpf(1e-320))), rel=1e-15)
+
+    def test_missing_mask_still_diverges(self):
+        assert mi_rate(SystemParams(a=1, k=-1, w=1e-320), MaskParams(m=0, n=0)).uplink == math.inf
+        # k^2 n underflows to 0, but the signal is there
+        s = SystemParams(a=0.5, k=1e-200, w=0)
+        assert mi_rate(s, MaskParams(m=0, n=1)).downlink == math.inf
 
 
 class TestMiRate:
@@ -171,10 +193,9 @@ class TestFiniteHorizon:
 
     def test_cesaro_limit_is_uplink_rate(self):
         fh = finite_horizon_info(ANCHOR, ANCHOR_MASKS, 400)
-        assert fh.forward_sum / 400 == pytest.approx(
-            uplink_rate(ANCHOR, ANCHOR_MASKS), abs=1e-3)
-        assert fh.forward_terms[-1] == pytest.approx(
-            uplink_rate(ANCHOR, ANCHOR_MASKS), abs=1e-12)
+        uplink = mi_rate(ANCHOR, ANCHOR_MASKS).uplink
+        assert fh.forward_sum / 400 == pytest.approx(uplink, abs=1e-3)
+        assert fh.forward_terms[-1] == pytest.approx(uplink, abs=1e-12)
 
     def test_conservation_by_construction(self):
         fh = finite_horizon_info(ANCHOR, ANCHOR_MASKS, 7)
@@ -193,13 +214,14 @@ class TestShapeInN:
     N_GRID = np.linspace(0.005, 0.6, 120)
 
     def test_uplink_nonincreasing_convex(self):
-        vals = np.array([uplink_rate(ANCHOR, MaskParams(m=0, n=float(n))) for n in self.N_GRID])
+        vals = np.array([mi_rate(ANCHOR, MaskParams(m=0, n=float(n))).uplink for n in self.N_GRID])
         d1 = np.diff(vals)
         assert np.all(d1 <= 1e-12)
         assert np.all(np.diff(d1) >= -1e-9)
 
     def test_downlink_nondecreasing_concave(self):
-        vals = np.array([downlink_rate(ANCHOR, MaskParams(m=0, n=float(n))) for n in self.N_GRID])
+        vals = np.array([mi_rate(ANCHOR, MaskParams(m=0, n=float(n))).downlink
+                         for n in self.N_GRID])
         d1 = np.diff(vals)
         assert np.all(d1 >= -1e-12)
         assert np.all(np.diff(d1) <= 1e-9)

@@ -6,7 +6,7 @@ import pytest
 
 from privmask import (
     MaskParams,
-    NegativeInput,
+    NegativeVariance,
     NoConvergence,
     SystemParams,
     iterate_prediction_covariance,
@@ -53,9 +53,9 @@ class TestSolveAre:
         assert solve_are(1.0, 0.1, 0.0) == pytest.approx(0.1, abs=0)
 
     def test_negative_inputs_rejected(self):
-        with pytest.raises(NegativeInput):
+        with pytest.raises(NegativeVariance):
             solve_are(1.0, -0.1, 0.1)
-        with pytest.raises(NegativeInput):
+        with pytest.raises(NegativeVariance):
             solve_are(1.0, 0.1, -0.1)
 
     def test_root_within_4_ulp_of_the_exact_root(self):
@@ -111,13 +111,13 @@ class TestSolveAre:
 
 class TestIteration:
     def test_matches_closed_form_at_anchor(self):
-        sol = iterate_prediction_covariance(1.0, 0.05, 0.05)
-        assert sol.sigma == pytest.approx(solve_are(1.0, 0.05, 0.05), abs=1e-11)
+        transient = iterate_prediction_covariance(1.0, 0.05, 0.05)
+        assert transient[-1] == pytest.approx(solve_are(1.0, 0.05, 0.05), abs=1e-11)
 
     def test_memoryless_converges_in_one_step(self):
-        sol = iterate_prediction_covariance(0.0, 0.15, 0.3)
-        assert sol.iterations == 1
-        assert sol.sigma == 0.15
+        transient = iterate_prediction_covariance(0.0, 0.15, 0.3)
+        assert len(transient) == 2  # S_1 = p and one step
+        assert transient[-1] == 0.15
 
     def test_unstable_noiseless_uplink_refused(self):
         with pytest.raises(NoConvergence):
@@ -125,19 +125,20 @@ class TestIteration:
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
     def test_all_zero_noise_converges_to_zero(self, a):
-        sol = iterate_prediction_covariance(a, 0.0, 0.0)
-        assert sol.sigma == solve_are(a, 0.0, 0.0) == 0.0
-        assert sol.iterations == 1
+        transient = iterate_prediction_covariance(a, 0.0, 0.0)
+        assert transient[-1] == solve_are(a, 0.0, 0.0) == 0.0
+        assert len(transient) == 2
 
     def test_stable_noiseless_uplink_converges(self):
-        sol = iterate_prediction_covariance(0.5, 0.1, 0.0)
-        assert sol.sigma == pytest.approx(0.1, abs=1e-12)
+        transient = iterate_prediction_covariance(0.5, 0.1, 0.0)
+        assert transient[-1] == pytest.approx(0.1, abs=1e-12)
 
     def test_transient_monotone_to_limit(self):
-        sol = iterate_prediction_covariance(0.9, 0.02, 0.3)
-        diffs = np.diff(sol.transient)
+        transient = iterate_prediction_covariance(0.9, 0.02, 0.3)
+        diffs = np.diff(transient)
         assert np.all(diffs >= -1e-15)
-        assert sol.transient[-1] == pytest.approx(sol.sigma)
+        assert transient[0] == 0.02
+        assert transient[-1] == pytest.approx(solve_are(0.9, 0.02, 0.3), abs=1e-11)
 
     def test_oracle_equivalence_random_tuples(self):
         rng = np.random.default_rng(7)
@@ -147,7 +148,7 @@ class TestIteration:
             p = 1.0 - rng.uniform(0, 1)  # (0, 1]
             n = 1.0 - rng.uniform(0, 1)
             closed = solve_are(a, p, n)
-            iterated = iterate_prediction_covariance(a, p, n).sigma
+            iterated = iterate_prediction_covariance(a, p, n)[-1]
             worst = max(worst, abs(closed - iterated))
             assert quadratic_residual(a, p, n, closed) <= 1e-12 * max(1.0, closed)
         assert worst <= 1e-10

@@ -67,9 +67,10 @@ class TestDynamicsInvariants:
         # re-running the filter recursion on the stored measurements must
         # reproduce the stored estimates bit for bit
         b = small_batch(horizon=500, n_trajectories=4)
-        for i in range(b.n_trajectories):
+        n_trajectories, steps = b.x.shape
+        for i in range(n_trajectories):
             xhat = 0.0
-            for t in range(1, b.horizon + 1):
+            for t in range(1, steps):
                 pred = b.sys.a * xhat + b.u[i, t - 1]
                 assert pred == b.xhat_pred[i, t]
                 xhat = pred + b.gain[t] * (b.y[i, t] - pred)
@@ -90,7 +91,7 @@ class TestDynamicsInvariants:
 class TestMomentEstimators:
     def test_cost_matches_closed_form(self):
         b = small_batch(horizon=20_000, n_trajectories=32)
-        mean, se = empirical_cost(b, 1.0, 1.0)
+        mean, se = empirical_cost(b)
         assert abs(mean - 0.25) <= 3 * se
         assert se > 0
 
@@ -106,20 +107,20 @@ class TestMomentEstimators:
         assert abs(mean - 0.15) <= 3 * se
 
     def test_zero_weights_zero_cost(self):
-        b = small_batch(horizon=1500)
-        mean, se = empirical_cost(b, 0.0, 0.0)
+        b = small_batch(sys=SystemParams(a=1, k=-1, w=0.05), horizon=1500)
+        mean, se = empirical_cost(b)
         assert mean == 0.0 and se == 0.0
 
     def test_burn_in_guard(self):
         b = small_batch(horizon=500)
         with pytest.raises(HorizonTooShort):
-            empirical_cost(b, 1.0, 1.0)
+            empirical_cost(b)
 
     def test_unstable_loop_refused(self):
         sys = SystemParams(a=0.9, k=0.2, w=0.05, q=1, r=1)
         b = simulate(sys, ANCHOR_MASKS, 1200, 2, seed=5)  # simulatable ...
         with pytest.raises(UnstableClosedLoop):
-            empirical_cost(b, 1.0, 1.0)  # ... but not reportable
+            empirical_cost(b)  # ... but not reportable
 
     def test_orthogonality_of_estimate_and_error(self):
         b = small_batch(horizon=20_000, n_trajectories=32)
@@ -162,9 +163,10 @@ class TestBlockBoundaries:
         assert np.array_equal(b.y, b.x + b.n)
         assert np.array_equal(b.u, b.sys.k * b.y)
         assert np.array_equal(b.v, b.u + b.m)
-        for i in range(b.n_trajectories):
+        n_trajectories, steps = b.x.shape
+        for i in range(n_trajectories):
             xhat = 0.0
-            for t in range(1, b.horizon + 1):
+            for t in range(1, steps):
                 pred = b.sys.a * xhat + b.u[i, t - 1]
                 assert pred == b.xhat_pred[i, t]
                 xhat = pred + b.gain[t] * (b.y[i, t] - pred)
@@ -180,9 +182,8 @@ class TestBlockBoundaries:
     @pytest.mark.parametrize("burn_in", [1000, BLOCK_STEPS - 1, BLOCK_STEPS + 500])
     def test_streaming_moments_match_full_batch(self, burn_in):
         b = small_batch(horizon=LONG_HORIZON, n_trajectories=16)
-        cost, sigma = simulate_moments(ANCHOR, ANCHOR_MASKS, LONG_HORIZON, 16, 11,
-                                       1.0, 1.0, burn_in=burn_in)
-        np.testing.assert_allclose(cost, empirical_cost(b, 1.0, 1.0, burn_in), rtol=1e-12)
+        cost, sigma = simulate_moments(ANCHOR, ANCHOR_MASKS, LONG_HORIZON, 16, 11, burn_in=burn_in)
+        np.testing.assert_allclose(cost, empirical_cost(b, burn_in), rtol=1e-12)
         np.testing.assert_allclose(sigma, empirical_prediction_error(b, burn_in), rtol=1e-12)
 
     def test_streaming_memory_flat_in_horizon(self, monkeypatch):
@@ -194,7 +195,7 @@ class TestBlockBoundaries:
         for horizon in (1000, 4000):
             tracemalloc.start()
             try:
-                simulate_moments(ANCHOR, ANCHOR_MASKS, horizon, 16, 3, 1.0, 1.0, burn_in=10)
+                simulate_moments(ANCHOR, ANCHOR_MASKS, horizon, 16, 3, burn_in=10)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -208,7 +209,7 @@ class TestBlockBoundaries:
         monkeypatch.setattr(simulation, "BLOCK_STEPS", block)
         tracemalloc.start()
         try:
-            simulate_moments(ANCHOR, ANCHOR_MASKS, 4 * block + 100, n, 3, 1.0, 1.0, burn_in=10)
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 4 * block + 100, n, 3, burn_in=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -218,11 +219,11 @@ class TestBlockBoundaries:
         with pytest.raises(NonPositiveCount):
             simulate(ANCHOR, ANCHOR_MASKS, 10, 0, seed=1)
         with pytest.raises(NonPositiveCount):
-            simulate_moments(ANCHOR, ANCHOR_MASKS, 2000, 0, 1, 1.0, 1.0)
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 2000, 0, 1)
         with pytest.raises(HorizonTooShort):
-            simulate_moments(ANCHOR, ANCHOR_MASKS, 1000, 2, 1, 1.0, 1.0)
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 1000, 2, 1)
         with pytest.raises(UnstableClosedLoop):
-            simulate_moments(SystemParams(a=0.9, k=0.2, w=0.05), ANCHOR_MASKS, 2000, 2, 1, 1.0, 1.0)
+            simulate_moments(SystemParams(a=0.9, k=0.2, w=0.05), ANCHOR_MASKS, 2000, 2, 1)
 
 
 MOMENT_HORIZON = 4396  # two blocks of 4096 steps
@@ -237,19 +238,19 @@ class TestStreamingMoments:
     @pytest.mark.parametrize("burn_in", [1000, 1021, 1022, 1023, 1024, 4095])
     @pytest.mark.parametrize("n_trajectories", [1, 3])
     def test_block_length_irrelevant(self, monkeypatch, burn_in, n_trajectories):
+        plant = SystemParams(a=1, k=-1, w=0.05, q=1.5, r=0.5)
         results = []
         for block in (7, 1024, 4096):
             monkeypatch.setattr(simulation, "BLOCK_STEPS", block)
-            results.append(simulate_moments(ANCHOR, ANCHOR_MASKS, MOMENT_HORIZON,
-                                            n_trajectories, 5, 1.5, 0.5, burn_in=burn_in))
+            results.append(simulate_moments(plant, ANCHOR_MASKS, MOMENT_HORIZON,
+                                            n_trajectories, 5, burn_in=burn_in))
         assert results[0] == results[1] == results[2]
 
     def test_memory_at_the_production_shape(self):
         # 64 trajectories over three blocks and a part of a fourth
         tracemalloc.start()
         try:
-            simulate_moments(ANCHOR, ANCHOR_MASKS, 3 * BLOCK_STEPS + 100, 64, 3, 1.0, 1.0,
-                             burn_in=10)
+            simulate_moments(ANCHOR, ANCHOR_MASKS, 3 * BLOCK_STEPS + 100, 64, 3, burn_in=10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -338,8 +339,7 @@ class TestTwoThreadNoise:
         count = horizon - burn_in
         expected = (simulation._mean_stderr(cost_sum / count),
                     simulation._mean_stderr(err_sum / count))
-        assert simulate_moments(sys, masks, horizon, n_trajectories, 7, sys.q, sys.r,
-                                burn_in=burn_in) == expected
+        assert simulate_moments(sys, masks, horizon, n_trajectories, 7, burn_in=burn_in) == expected
 
     def _generator(self, horizon=100):
         _, gains = gain_schedule(ANCHOR.a, ANCHOR_MASKS.m + ANCHOR.w, ANCHOR_MASKS.n, horizon)
@@ -347,7 +347,7 @@ class TestTwoThreadNoise:
 
     def test_no_thread_outlives_simulate_moments(self):
         before = threading.active_count()
-        simulate_moments(ANCHOR, ANCHOR_MASKS, 2 * BLOCK_STEPS, 5, 1, 1.0, 1.0)
+        simulate_moments(ANCHOR, ANCHOR_MASKS, 2 * BLOCK_STEPS, 5, 1)
         assert threading.active_count() == before
 
     def test_no_thread_outlives_an_early_close(self, monkeypatch):
