@@ -70,7 +70,6 @@ from .rates import (
 )
 from .riccati import (
     gain_schedule,
-    iterate_prediction_covariance,
     prediction_covariances,
     solve_are,
     steady_state_second_moment,
@@ -81,7 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "SystemParams", "MaskParams", "StabilityCheck", "closed_loop_stable", "require_stable",
     "solve_are", "prediction_covariances",
-    "gain_schedule", "iterate_prediction_covariance", "steady_state_second_moment",
+    "gain_schedule", "steady_state_second_moment",
     "PrivacyRates", "FiniteHorizonInfo", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
     "mi_rate_from_nnr_derivative", "nnr_prediction_ratio", "control_cost_rate",
     "control_cost_rate_from_nnr", "control_cost_rate_from_nnr_derivative",

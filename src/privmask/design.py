@@ -78,14 +78,10 @@ class TradeoffPoint:
 class RobustnessGrid:
     """Achieved ratio and privacy rate when the true w differs from nominal.
 
-    ``alpha[i, j]`` and ``mi[i, j]`` correspond to ``m_values[i]`` and
-    ``w_true_values[j]``; ``n_design[i]`` is the uplink variance frozen at
-    design time from the nominal w.
+    ``alpha[i, j]`` and ``mi[i, j]`` belong to the i-th downlink variance m
+    and the j-th true w passed to ``robustness_sweep``.
     """
 
-    m_values: np.ndarray
-    w_true_values: np.ndarray
-    n_design: np.ndarray
     alpha: np.ndarray
     mi: np.ndarray
 
@@ -269,5 +265,4 @@ def robustness_sweep(sys: SystemParams, alpha_design: float,
     n_design = alpha_design * (m_vals + sys.w)
     alpha = n_design[:, None] / denom
     mi = np.array([mi_rate_from_nnr(sys, x).total for x in alpha.ravel().tolist()])
-    return RobustnessGrid(m_values=m_vals, w_true_values=w_vals,
-                          n_design=n_design, alpha=alpha, mi=mi.reshape(alpha.shape))
+    return RobustnessGrid(alpha=alpha, mi=mi.reshape(alpha.shape))

@@ -50,18 +50,22 @@ class FiniteHorizonInfo:
     forward_terms: np.ndarray
 
 
-def _flow(num: float, den: float) -> float:
-    """Information flow 0.5*log(1 + num/den) in nats, for num, den >= 0.
+def _flow(num: float, den: float, scale: float = 1.0) -> float:
+    """Information flow 0.5*log(1 + scale*num/den) in nats, for num, den, scale >= 0.
 
     Returns ``inf`` when only ``den`` is 0 (an unmasked signal leaks without
-    bound) and 0.0 when both are (no signal).  Where num/den overflows a
-    double while the flow is finite, it is taken as 0.5*(log num - log den).
+    bound) and 0.0 when both are (no signal).  Where scale*num overflows a
+    double while the flow is finite, it is taken as 0.5*(log scale + log num
+    - log den), and where only the ratio does, as 0.5*(log(scale*num) - log den).
     """
     if den == 0:
         return math.inf if num > 0 else 0.0
-    ratio = num / den
+    signal = scale * num
+    if signal == math.inf:
+        return 0.5 * (math.log(scale) + math.log(num) - math.log(den))
+    ratio = signal / den
     if ratio == math.inf:
-        return 0.5 * (math.log(num) - math.log(den))
+        return 0.5 * (math.log(signal) - math.log(den))
     return 0.5 * math.log1p(ratio)
 
 
@@ -73,8 +77,7 @@ def mi_rate(sys: SystemParams, masks: MaskParams) -> PrivacyRates:
     """
     p = masks.m + sys.w
     up = _flow(solve_are(sys.a, p, masks.n), masks.n)
-    # k != 0: at m + w = 0 pass n itself, since k^2 n can underflow to 0
-    down = _flow(sys.k * sys.k * masks.n if p > 0 else masks.n, p)
+    down = _flow(masks.n, p, sys.k * sys.k)
     return PrivacyRates(uplink=up, downlink=down, total=up + down)
 
 
@@ -93,10 +96,12 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
     """Privacy-loss rate as a function of the noise-to-noise ratio alone.
 
     Identical to ``mi_rate`` for every mask pair with n = alpha*(m+w).
+    Where s(alpha) overflows (1/alpha does below about 5.6e-309), the
+    uplink is taken as the flow of solve_are(a, 1, alpha)/alpha.
     """
     s = nnr_prediction_ratio(sys.a, alpha)
-    up = _flow(s, 1.0)
-    down = _flow(sys.k * sys.k * alpha, 1.0)
+    up = _flow(s, 1.0) if s < math.inf else _flow(solve_are(sys.a, 1.0, alpha), alpha)
+    down = _flow(alpha, 1.0, sys.k * sys.k)
     return PrivacyRates(uplink=up, downlink=down, total=up + down)
 
 
@@ -123,9 +128,11 @@ def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:
     than ``mi_rate_from_nnr``.  Emitted by the CLI sweeps for comparison
     only; all design routines optimize ``mi_rate_from_nnr``, whose uplink
     term is the one the finite-horizon sums and the exact oracle confirm.
+    Where s(alpha) overflows, log s is taken as log solve_are(a, 1, alpha) - log alpha.
     """
     s = nnr_prediction_ratio(sys.a, alpha)
-    return 0.5 * math.log(s) + _flow(sys.k * sys.k * alpha, 1.0)
+    log_s = math.log(s) if s < math.inf else math.log(solve_are(sys.a, 1.0, alpha)) - math.log(alpha)
+    return 0.5 * log_s + _flow(alpha, 1.0, sys.k * sys.k)
 
 
 def control_cost_rate(sys: SystemParams, masks: MaskParams) -> float:
@@ -180,6 +187,6 @@ def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> F
     s_pred = prediction_covariances(sys.a, p, masks.n, horizon)
     forward_terms = 0.5 * np.log1p(s_pred / masks.n)
     forward = float(forward_terms.sum())
-    backward = horizon * _flow(sys.k * sys.k * masks.n, p)
+    backward = horizon * _flow(masks.n, p, sys.k * sys.k)
     return FiniteHorizonInfo(forward_sum=forward, backward_sum=backward,
                              total=forward + backward, forward_terms=forward_terms)

@@ -7,8 +7,8 @@ nonnegative root of
 
 which is the algebraic Riccati equation of the scalar filtering recursion
 cleared of its denominator.  ``solve_are`` evaluates the root in closed
-form; ``iterate_prediction_covariance`` reproduces it by running the
-filtering recursion itself, providing an independent numerical route.
+form; it is the fixed point of the filtering recursion that
+``gain_schedule`` runs, step by step, for the oracle and the simulator.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import math
 
 import numpy as np
 
-from .errors import NegativeVariance, NoConvergence
+from .errors import NegativeVariance
 from .params import MaskParams, SystemParams, closed_loop_stable
 
-ITERATION_TOL = 1e-12
-MAX_ITERATIONS = 10**6
 _MIN_NORMAL = float.fromhex("0x1p-1022")  # the smallest normal double
 
 
@@ -96,42 +94,6 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
             break
         post2, post1 = post1, post
     return s_pred, gains
-
-
-def iterate_prediction_covariance(a: float, p: float, n: float) -> np.ndarray:
-    """Fixed-point iteration of the prediction-covariance recursion.
-
-    Iterates S_{t+1} = a^2 * ((1-l_t)^2 S_t + l_t^2 n) + p with
-    l_t = S_t/(S_t + n) from S_1 = p until successive values differ by at
-    most ``ITERATION_TOL``, within ``MAX_ITERATIONS`` steps, and returns the
-    transient S_1, S_2, ... as an array: its length less one is the number
-    of steps taken, and its last value, the fixed point, agrees with
-    ``solve_are`` within 10*ITERATION_TOL.
-
-    ``p = n = 0`` converges in one step to 0 for every ``a``, as
-    ``solve_are`` does.  The noiseless-uplink case ``n = 0 < p`` with
-    ``|a| >= 1`` is refused with ``NoConvergence``: the gain is pinned at 1
-    and the recursion degenerates rather than tracking an attracting fixed
-    point; ``solve_are`` still returns the limiting root ``p`` for that
-    regime.
-    """
-    if p < 0 or n < 0:
-        raise NegativeVariance(f"p and n must be >= 0, got p={p}, n={n}")
-    if n == 0 and p > 0 and abs(a) >= 1:
-        raise NoConvergence(
-            f"n = 0 with |a| = {abs(a)} >= 1: covariance iteration not supported "
-            "(solve_are returns the limiting root p)"
-        )
-    transient = [p]
-    s = p
-    for _ in range(MAX_ITERATIONS):
-        l = _gain(s, n)
-        s_next = a * a * ((1.0 - l) ** 2 * s + l * l * n) + p
-        transient.append(s_next)
-        if abs(s_next - s) <= ITERATION_TOL:
-            return np.array(transient)
-        s = s_next
-    raise NoConvergence(f"no convergence within {MAX_ITERATIONS} iterations (a={a}, p={p}, n={n})")
 
 
 def steady_state_second_moment(sys: SystemParams, masks: MaskParams) -> float:

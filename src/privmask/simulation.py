@@ -53,7 +53,6 @@ class TrajectoryBatch:
 
     sys: SystemParams
     masks: MaskParams
-    seed: int
     x: np.ndarray
     n: np.ndarray
     y: np.ndarray
@@ -202,7 +201,7 @@ def simulate(sys: SystemParams, masks: MaskParams, horizon: int,
         for name, rows in block.items():
             full[name][:, t0:t0 + len(rows)] = rows.T
     return TrajectoryBatch(
-        sys=sys, masks=masks, seed=seed, s_pred=np.concatenate([[0.0], s_seq]),
+        sys=sys, masks=masks, s_pred=np.concatenate([[0.0], s_seq]),
         gain=np.concatenate([[0.0], gains]), **full,
     )
 

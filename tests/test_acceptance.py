@@ -33,7 +33,7 @@ from privmask import (
     exact_directed_info,
     exact_mi,
     finite_horizon_info,
-    iterate_prediction_covariance,
+    gain_schedule,
     joint_covariance,
     mi_rate,
     mi_rate_from_nnr,
@@ -73,18 +73,20 @@ def test_01_riccati_closed_form_vs_iteration():
     t0 = time.perf_counter()
     rng = np.random.default_rng(101)
     worst_gap = worst_residual = 0.0
+    settled = True
     for _ in range(1000):
         a = rng.uniform(-2, 2)
         p = 1.0 - rng.uniform(0, 1)  # (0, 1]
         n = 1.0 - rng.uniform(0, 1)
         closed = solve_are(a, p, n)
-        iterated = iterate_prediction_covariance(a, p, n)[-1]
-        worst_gap = max(worst_gap, abs(closed - iterated))
+        s = gain_schedule(a, p, n, 1000)[0]
+        settled = settled and s[-1] == s[-3]
+        worst_gap = max(worst_gap, abs(closed - s[-1]))
         residual = abs((a * a * n / (closed + n) - 1.0) * closed + p)
         worst_residual = max(worst_residual, residual / max(1.0, closed))
     elapsed = time.perf_counter() - t0
-    report(1, worst_gap <= 1e-10 and worst_residual <= 1e-12 and elapsed < 1.0,
-           f"1000 tuples: |closed-iterated| <= {worst_gap:.2e}, "
+    report(1, settled and worst_gap <= 1e-10 and worst_residual <= 1e-12 and elapsed < 1.0,
+           f"1000 tuples, schedules settled: {settled}, |closed-recursion| <= {worst_gap:.2e}, "
            f"relative residual <= {worst_residual:.2e}, {elapsed:.2f}s")
 
 

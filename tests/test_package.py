@@ -1,3 +1,4 @@
+import inspect
 import os
 import re
 import subprocess
@@ -27,6 +28,10 @@ def test_library_tour_names_are_exported():
         names += re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", cell))
     assert len(rows) == 6 and len(names) > 20
     assert [name for name in names if name not in privmask.__all__] == []
+    # and every exported function is named there
+    functions = [name for name in privmask.__all__
+                 if inspect.isfunction(getattr(privmask, name))]
+    assert [name for name in functions if name not in names] == []
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[path.name for path in DEMOS])

@@ -71,6 +71,34 @@ class TestFlowOverflow:
         down = mi_rate(SystemParams(a=1, k=-1, w=0), MaskParams(m=1e-320, n=1)).downlink
         assert down == pytest.approx(float(0.5 * mpmath.log1p(1 / mpmath.mpf(1e-320))), rel=1e-15)
 
+    def test_downlink_whose_signal_overflows(self):
+        # k^2 n = 1e310; the flow is 356.9 nats
+        exact = float(0.5 * mpmath.log1p(mpmath.mpf(1e150) ** 2 * mpmath.mpf(1e10)))
+        s = SystemParams(a=0, k=1e150, w=0)
+        masks = MaskParams(m=1, n=1e10)
+        assert mi_rate(s, masks).downlink == pytest.approx(exact, rel=1e-15)
+        assert finite_horizon_info(s, masks, 3).backward_sum == pytest.approx(3 * exact, rel=1e-15)
+
+    def test_nnr_downlink_whose_signal_overflows(self):
+        # k^2 alpha = 1e320; the flow is 368.4 nats
+        s, alpha = SystemParams(a=0.5, k=1e10, w=1), 1e300
+        exact = float(0.5 * mpmath.log1p(mpmath.mpf(1e10) ** 2 * mpmath.mpf(alpha)))
+        assert mi_rate_from_nnr(s, alpha).downlink == pytest.approx(exact, rel=1e-15)
+        alt_up = 0.5 * math.log(nnr_prediction_ratio(s.a, alpha))
+        assert mi_rate_from_nnr_alt(s, alpha) - alt_up == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha", [1e-308, 1e-320, 5e-324])
+    def test_nnr_uplink_where_s_overflows(self, alpha):
+        # s(alpha) is about 1/alpha, beyond the largest double (1/alpha itself from 5.6e-309 down)
+        a = 0.5
+        b = a * a - 1 + 1 / mpmath.mpf(alpha)
+        s_exact = (b + mpmath.sqrt(b * b + 4 / mpmath.mpf(alpha))) / 2
+        sys_ = SystemParams(a=a, k=-1, w=1)
+        rates = mi_rate_from_nnr(sys_, alpha)
+        assert rates.uplink == pytest.approx(float(0.5 * mpmath.log1p(s_exact)), rel=1e-15)
+        assert mi_rate_from_nnr_alt(sys_, alpha) - rates.downlink == pytest.approx(
+            float(0.5 * mpmath.log(s_exact)), rel=1e-15)
+
     def test_missing_mask_still_diverges(self):
         assert mi_rate(SystemParams(a=1, k=-1, w=1e-320), MaskParams(m=0, n=0)).uplink == math.inf
         # k^2 n underflows to 0, but the signal is there

@@ -7,9 +7,7 @@ import pytest
 from privmask import (
     MaskParams,
     NegativeVariance,
-    NoConvergence,
     SystemParams,
-    iterate_prediction_covariance,
     prediction_covariances,
     solve_are,
     steady_state_second_moment,
@@ -109,36 +107,39 @@ class TestSolveAre:
             assert np.all(np.diff(sig) >= -1e-15)
 
 
+def schedule(a, p, n):
+    """The prediction variances S_1..S_1000 of the filtering recursion."""
+    return gain_schedule(a, p, n, 1000)[0]
+
+
 class TestIteration:
+    """``solve_are`` against the last value of the recursion ``gain_schedule`` runs."""
+
     def test_matches_closed_form_at_anchor(self):
-        transient = iterate_prediction_covariance(1.0, 0.05, 0.05)
-        assert transient[-1] == pytest.approx(solve_are(1.0, 0.05, 0.05), abs=1e-11)
+        s = schedule(1.0, 0.05, 0.05)
+        assert s[-1] == pytest.approx(solve_are(1.0, 0.05, 0.05), abs=1e-15)
 
     def test_memoryless_converges_in_one_step(self):
-        transient = iterate_prediction_covariance(0.0, 0.15, 0.3)
-        assert len(transient) == 2  # S_1 = p and one step
-        assert transient[-1] == 0.15
+        assert (schedule(0.0, 0.15, 0.3) == 0.15).all()  # S_1 = p, and every step after
 
-    def test_unstable_noiseless_uplink_refused(self):
-        with pytest.raises(NoConvergence):
-            iterate_prediction_covariance(1.5, 0.1, 0.0)
+    def test_unstable_noiseless_uplink_settles_at_p(self):
+        # n = 0 pins the gain at 1, so every step predicts p, solve_are's limit
+        assert (schedule(1.5, 0.1, 0.0) == solve_are(1.5, 0.1, 0.0)).all()
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 1.5])
     def test_all_zero_noise_converges_to_zero(self, a):
-        transient = iterate_prediction_covariance(a, 0.0, 0.0)
-        assert transient[-1] == solve_are(a, 0.0, 0.0) == 0.0
-        assert len(transient) == 2
+        assert (schedule(a, 0.0, 0.0) == solve_are(a, 0.0, 0.0)).all()
+        assert solve_are(a, 0.0, 0.0) == 0.0
 
     def test_stable_noiseless_uplink_converges(self):
-        transient = iterate_prediction_covariance(0.5, 0.1, 0.0)
-        assert transient[-1] == pytest.approx(0.1, abs=1e-12)
+        assert (schedule(0.5, 0.1, 0.0) == 0.1).all()
 
     def test_transient_monotone_to_limit(self):
-        transient = iterate_prediction_covariance(0.9, 0.02, 0.3)
-        diffs = np.diff(transient)
-        assert np.all(diffs >= -1e-15)
-        assert transient[0] == 0.02
-        assert transient[-1] == pytest.approx(solve_are(0.9, 0.02, 0.3), abs=1e-11)
+        s = schedule(0.9, 0.02, 0.3)
+        assert np.all(np.diff(s) >= 0)
+        assert s[0] == 0.02
+        assert s[-1] == s[-3]  # settled
+        assert s[-1] == pytest.approx(solve_are(0.9, 0.02, 0.3), abs=1e-15)
 
     def test_oracle_equivalence_random_tuples(self):
         rng = np.random.default_rng(7)
@@ -148,8 +149,9 @@ class TestIteration:
             p = 1.0 - rng.uniform(0, 1)  # (0, 1]
             n = 1.0 - rng.uniform(0, 1)
             closed = solve_are(a, p, n)
-            iterated = iterate_prediction_covariance(a, p, n)[-1]
-            worst = max(worst, abs(closed - iterated))
+            s = schedule(a, p, n)
+            assert s[-1] == s[-3]
+            worst = max(worst, abs(closed - s[-1]))
             assert quadratic_residual(a, p, n, closed) <= 1e-12 * max(1.0, closed)
         assert worst <= 1e-10
 
