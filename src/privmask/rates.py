@@ -54,18 +54,18 @@ def _flow(num: float, den: float, scale: float = 1.0) -> float:
     """Information flow 0.5*log(1 + scale*num/den) in nats, for num, den, scale >= 0.
 
     Returns ``inf`` when only ``den`` is 0 (an unmasked signal leaks without
-    bound) and 0.0 when both are (no signal).  Where scale*num overflows a
-    double while the flow is finite, it is taken as 0.5*(log scale + log num
-    - log den), and where only the ratio does, as 0.5*(log(scale*num) - log den).
+    bound) and 0.0 when both are (no signal).  Where scale*num/den overflows,
+    the flow is 0.5*(lr + log1p(exp(-lr))) with lr = log(scale*num) - log den,
+    log(scale*num) taken as log scale + log num where the product overflows.
     """
     if den == 0:
         return math.inf if num > 0 else 0.0
     signal = scale * num
-    if signal == math.inf:
-        return 0.5 * (math.log(scale) + math.log(num) - math.log(den))
     ratio = signal / den
     if ratio == math.inf:
-        return 0.5 * (math.log(signal) - math.log(den))
+        log_signal = math.log(signal) if signal < math.inf else math.log(scale) + math.log(num)
+        lr = log_signal - math.log(den)
+        return 0.5 * (lr + math.log1p(math.exp(-lr)))
     return 0.5 * math.log1p(ratio)
 
 

@@ -79,6 +79,15 @@ class TestFlowOverflow:
         assert mi_rate(s, masks).downlink == pytest.approx(exact, rel=1e-15)
         assert finite_horizon_info(s, masks, 3).backward_sum == pytest.approx(3 * exact, rel=1e-15)
 
+    def test_downlink_whose_signal_overflows_over_a_large_denominator(self):
+        # k^2 n = 2e308 overflows, but k^2 n/(m+w) is only 4; the flow is 0.5*log 5.
+        # The logs of k^2 and m+w (about 709) cancel, which costs a few ulps.
+        exact = float(0.5 * mpmath.log1p(mpmath.mpf(1e154) ** 2 * 2 / mpmath.mpf(5e307)))
+        s = SystemParams(a=0, k=1e154, w=0)
+        masks = MaskParams(m=5e307, n=2)
+        assert mi_rate(s, masks).downlink == pytest.approx(exact, rel=1e-13, abs=0)
+        assert finite_horizon_info(s, masks, 3).backward_sum == pytest.approx(3 * exact, rel=1e-13, abs=0)
+
     def test_nnr_downlink_whose_signal_overflows(self):
         # k^2 alpha = 1e320; the flow is 368.4 nats
         s, alpha = SystemParams(a=0.5, k=1e10, w=1), 1e300
