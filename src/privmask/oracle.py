@@ -10,6 +10,13 @@ ordering is the variance of that signal given everything before it.  This
 module is the independent verification path for the closed forms in
 :mod:`privmask.rates`.
 
+One Gram product gives the covariance of Y, X and Xhat up to the horizon
+(U_t = k*Y_t is scaled from Y), and every factorization gathers its block
+from it with ``np.ix_``, as ``joint_covariance`` does.  Each distinct
+ordering is factored once per call, so ``consistency_report`` factors
+seven: X, Y, Xhat, the two interleaved orderings and the blocks [X Y] and
+[X Xhat].
+
 Every factorization goes through ``_chol``, which refuses a covariance
 whose smallest pivot is so small against its largest diagonal entry that
 rounding alone could exceed the ``CHECK_TOL`` comparisons
@@ -94,26 +101,28 @@ class ConsistencyCheck:
 
 
 class _SignalSpace:
-    """Coefficient vectors of all loop signals on the noise basis.
+    """One covariance of all loop signals, and the factorizations read from it.
 
-    Basis order: [N_0..N_T, M_0..M_{T-1}, W_1..W_T]; the corresponding
-    variances are on the diagonal ``self.var``.  ``signals[kind][t]`` is the
-    row of ``{kind}_t`` for kind X, Y, U or Xhat, t = 0..T.
+    Basis order of the coefficient rows: [N_0..N_T, M_0..M_{T-1}, W_1..W_T].
+    ``cov`` is the covariance of Y_0..Y_T, X_0..X_T and Xhat_0..Xhat_T, kind
+    by kind (X_0 = Xhat_0 = 0); U_t = k*Y_t is not stored.  ``span(kind)``
+    gives the positions of one kind in ``cov``, and ``pivots`` factors the
+    block at a sequence of positions once, however often that ordering is
+    asked for.
     """
 
     def __init__(self, sys: SystemParams, masks: MaskParams, horizon: int):
         T = horizon
         self.horizon = T
         nb = (T + 1) + T + T
-        self.var = np.concatenate(
+        var = np.concatenate(
             [np.full(T + 1, masks.n), np.full(T, masks.m), np.full(T, sys.w)]
         )
         _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, T)
 
-        x = np.zeros((T + 1, nb))
-        y = np.zeros((T + 1, nb))
-        u = np.zeros((T + 1, nb))
-        xh = np.zeros((T + 1, nb))
+        rows = np.zeros((3 * (T + 1), nb))
+        y, x, xh = rows.reshape(3, T + 1, nb)  # views: row t of each is kind_t
+        u = np.zeros((T + 1, nb))  # U_t = k*Y_t, needed by the recursion only
         y[0, 0] = 1.0  # Y_0 = X_0 + N_0 = N_0
         u[0] = sys.k * y[0]
         for t in range(1, T + 1):
@@ -126,16 +135,31 @@ class _SignalSpace:
             pred = sys.a * xh[t - 1] + u[t - 1]
             l = gains[t - 1]
             xh[t] = pred + l * (y[t] - pred)
-        self.signals = {"X": x, "Y": y, "U": u, "Xhat": xh}
+        self.cov = (rows * var) @ rows.T
+        self._first = {"Y": 0, "X": T + 1, "Xhat": 2 * (T + 1)}  # position of kind_0
+        self._pivots = {}
 
-    def rows(self, labels: Sequence[str]) -> np.ndarray:
-        """Coefficient rows of validated signal labels, in order."""
-        picks = [_parse_label(label, self.horizon) for label in labels]
-        return np.array([self.signals[kind][idx] for kind, idx in picks])
+    def position(self, kind: str, t: int) -> int:
+        """Position of ``{kind}_t`` in ``cov``, kind Y, X or Xhat."""
+        return self._first[kind] + t
 
-    def cov(self, rows: np.ndarray) -> np.ndarray:
-        """Covariance of the signals whose coefficient rows are ``rows``."""
-        return (rows * self.var) @ rows.T
+    def span(self, kind: str) -> range:
+        """Positions of Y_0..Y_T, X_1..X_T or Xhat_1..Xhat_T."""
+        lo = 0 if kind == "Y" else 1
+        return range(self.position(kind, lo), self.position(kind, self.horizon + 1))
+
+    def pivots(self, idx: Sequence[int], block: str) -> np.ndarray:
+        """Squared Cholesky pivots of the signals at positions ``idx``, in order.
+
+        Pivot ``j`` is the variance of signal ``j`` given signals ``0..j-1``.
+        """
+        ix = np.asarray(idx)
+        # keyed by the bytes of the positions, not a tuple: CPython 3.11 parks up
+        # to 2000 freed 20-element tuples (X^T at T = 20) and never reuses them
+        key = ix.tobytes()
+        if key not in self._pivots:
+            self._pivots[key] = _chol(self.cov[np.ix_(ix, ix)], block).diagonal() ** 2
+        return self._pivots[key]
 
 
 def _parse_label(label: str, horizon: int) -> tuple:
@@ -181,14 +205,6 @@ def _logdet(mat: np.ndarray, block: str) -> float:
     return 2.0 * float(np.log(L.diagonal()).sum())
 
 
-def _pivots(space: _SignalSpace, rows: np.ndarray, block: str) -> np.ndarray:
-    """Squared Cholesky pivots of the covariance of the signals ``rows``, in order.
-
-    Pivot ``j`` is the variance of signal ``j`` given signals ``0..j-1``.
-    """
-    return _chol(space.cov(rows), block).diagonal() ** 2
-
-
 def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
@@ -207,7 +223,11 @@ def joint_covariance(
     _check_horizon(horizon)
     labels = tuple(signals)
     space = _SignalSpace(sys, masks, horizon)
-    return JointCovariance(labels=labels, cov=space.cov(space.rows(labels)))
+    picks = [_parse_label(label, horizon) for label in labels]
+    # U_t = k*Y_t: read the Y_t entries and scale them by k
+    idx = np.array([space.position("Y" if kind == "U" else kind, t) for kind, t in picks], dtype=int)
+    scale = np.array([sys.k if kind == "U" else 1.0 for kind, _ in picks])
+    return JointCovariance(labels=labels, cov=space.cov[np.ix_(idx, idx)] * np.outer(scale, scale))
 
 
 def exact_mi(jc: JointCovariance, block_a: Sequence[str], block_b: Sequence[str]) -> float:
@@ -261,12 +281,12 @@ def exact_directed_info(
 def _directed_info(space: _SignalSpace, target: str) -> DirectedInformation:
     T = space.horizon
     pre = 1 if target == "Y" else 0  # Y_0 precedes X_1; Xhat starts at 1
-    zs = space.signals[target][1 - pre :]
-    xs = space.signals["X"][1:]
-    inter = np.concatenate([zs[:pre], np.stack([xs, zs[pre:]], axis=1).reshape(2 * T, -1)])
-    z_piv = _pivots(space, zs, f"{target}^{T}")[pre:]
-    x_piv = _pivots(space, xs, f"X^{T}")
-    i_piv = _pivots(space, inter, f"X^{T} interleaved with {target}^{T}")
+    zs = space.span(target)
+    xs = space.span("X")
+    inter = [*zs[:pre], *(i for pair in zip(xs, zs[pre:]) for i in pair)]
+    z_piv = space.pivots(zs, f"{target}^{T}")[pre:]
+    x_piv = space.pivots(xs, f"X^{T}")
+    i_piv = space.pivots(inter, f"X^{T} interleaved with {target}^{T}")
     fwd = 0.5 * np.log(z_piv / i_piv[pre + 1 :: 2])
     bwd = 0.5 * np.log(x_piv / i_piv[pre::2])
     if not pre:
@@ -277,6 +297,20 @@ def _directed_info(space: _SignalSpace, target: str) -> DirectedInformation:
         forward_terms=fwd,
         backward_terms=bwd,
     )
+
+
+def _mutual_info(space: _SignalSpace, target: str) -> float:
+    """I(X^T; Z^T) = 0.5*(log det X + log det Z - log det [X Z]) from squared pivots.
+
+    ``[X Z]`` is factored in block order, X first as ``exact_mi`` orders
+    [A B], and apart from the interleaved ordering: log det taken from the
+    interleaved pivots would make the conservation rows hold by construction.
+    """
+    T = space.horizon
+    xs, zs = space.span("X"), space.span(target)
+    logdet = lambda idx, block: float(np.log(space.pivots(idx, block)).sum())
+    return 0.5 * (logdet(xs, f"X^{T}") + logdet(zs, f"{target}^{T}")
+                  - logdet([*xs, *zs], f"X^{T} followed by {target}^{T}"))
 
 
 def consistency_report(
@@ -307,13 +341,8 @@ def consistency_report(
     di_y = _directed_info(space, "Y")
     di_xh = _directed_info(space, "Xhat")
 
-    x_block = [f"X_{t}" for t in range(1, horizon + 1)]
-    y_block = [f"Y_{t}" for t in range(horizon + 1)]
-    xh_block = [f"Xhat_{t}" for t in range(1, horizon + 1)]
-    labels = tuple(x_block + y_block + xh_block)
-    jc = JointCovariance(labels=labels, cov=space.cov(space.rows(labels)))
-    mi_y = exact_mi(jc, x_block, y_block)
-    mi_xh = exact_mi(jc, x_block, xh_block)
+    mi_y = _mutual_info(space, "Y")
+    mi_xh = _mutual_info(space, "Xhat")
 
     def check(name, lhs, rhs, informational=False):
         err = abs(lhs - rhs)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha
 from .params import MaskParams, SystemParams, require_stable
-from .riccati import prediction_covariances, solve_are, steady_state_second_moment
+from .riccati import _MIN_NORMAL, prediction_covariances, solve_are, steady_state_second_moment
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,13 @@ def mi_rate_from_nnr_derivative(sys: SystemParams, alpha: float) -> float:
     """
     s = nnr_prediction_ratio(sys.a, alpha)
     disc = 2.0 * s - (sys.a * sys.a - 1.0 + 1.0 / alpha)
-    ds = -(s + 1.0) / (alpha * alpha * disc)
     k2 = sys.k * sys.k
-    return ds / (2.0 * (1.0 + s)) + k2 / (2.0 * (1.0 + k2 * alpha))
+    down = k2 / (2.0 * (1.0 + k2 * alpha))
+    if alpha * alpha < _MIN_NORMAL:
+        # alpha**2 is subnormal or 0 and (s + 1)/alpha**2 overflows; the (s + 1) factor cancels
+        return -0.5 / (alpha * (alpha * disc)) + down
+    ds = -(s + 1.0) / (alpha * alpha * disc)
+    return ds / (2.0 * (1.0 + s)) + down
 
 
 def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:

@@ -39,7 +39,8 @@ def solve_are(a: float, p: float, n: float) -> float:
     # hypot form avoids overflow of b*b and p*n for extreme magnitudes
     disc = math.hypot(b, 2.0 * math.sqrt(p) * math.sqrt(n))
     if b >= 0:
-        return 0.5 * (b + disc)
+        # halving each term keeps the sum finite wherever the root is
+        return 0.5 * b + 0.5 * disc
     # b < 0: the direct formula cancels; recover the positive root from the
     # product of roots (-p*n) via the stable negative root.
     r_neg = 0.5 * (b - disc)

@@ -48,6 +48,12 @@ class TestAnalyze:
         assert doc["uplink_nats"] == "inf"
         assert doc["diagnostics"] == "uplink_unbounded"
 
+    def test_finite_root_whose_sum_overflows(self, capsys):
+        doc = run_json(capsys, "analyze", "--a", "1", "--k", "-1", "--m", "1e308",
+                       "--w", "0", "--n", "1")
+        assert doc["sigma"] == 1e308
+        assert doc["uplink_nats"] == pytest.approx(0.5 * math.log(1e308), rel=1e-15)
+
     def test_zero_gain_is_a_machine_readable_error(self, capsys):
         code, out, err = run(capsys, "analyze", "--a", "1", "--k", "0")
         assert code == 2
@@ -321,6 +327,13 @@ class TestDesign:
     def test_zero_downlink_mask_warns(self, capsys):
         code, out, err = run(capsys, "design", "--a", "0", "--k", "0.5", "--w", "0.05")
         assert "warning" in err
+
+    def test_optimal_ratio_whose_square_is_subnormal(self, capsys):
+        # alpha* is about 1e-152, and the search meets alpha**2 below the normal range
+        code, out, _ = run(capsys, "design", "--a", "1e76", "--k", "-1e76", "--w", "1",
+                           "--lambda", "0,1,1e5")
+        assert code == 0
+        assert json.loads(out)["alpha_star"] == pytest.approx(1e-152, rel=1e-12)
 
     def test_empty_lambda_list(self, capsys):
         code, _, err = run(capsys, "design", "--a", "0", "--k", "0.5", "--lambda", "")

@@ -270,6 +270,21 @@ class TestConsistencyReport:
         assert deficit[0] == pytest.approx(deficit[1], abs=1e-9)
         assert deficit[1] == pytest.approx(0.0590501096, abs=1e-9)
 
+    @pytest.mark.parametrize("horizon, factorizations", [(1, 6), (5, 7), (40, 7)])
+    def test_each_ordering_factored_once(self, monkeypatch, horizon, factorizations):
+        # X, Y, Xhat, the two interleaved orderings and the blocks [X Y], [X Xhat];
+        # at T = 1, (X_1, Xhat_1) is both the interleaved and the block ordering
+        blocks = []
+        chol = oracle._chol
+
+        def counting(mat, block):
+            blocks.append(block)
+            return chol(mat, block)
+
+        monkeypatch.setattr(oracle, "_chol", counting)
+        consistency_report(ANCHOR, ANCHOR_MASKS, horizon)
+        assert len(blocks) == factorizations
+
     def test_stable_loops_pass_at_the_cap(self):
         for a in (0.5, 1.0, 1.5):
             sys = SystemParams(a=a, k=-a + 0.3, w=0.05, q=1, r=1)
@@ -277,23 +292,25 @@ class TestConsistencyReport:
             assert max(c.abs_err for c in report if not c.informational) <= 1e-12
 
 
-def _mp_deficit_anchor_two_steps():
-    """I(X^2; Y^2) - I(X^2; Xhat^2) at the anchor, from 50-digit arithmetic.
+def _mp_report(sys, masks, T):
+    """Every ``consistency_report`` row as (lhs, rhs), from 50-digit arithmetic.
 
-    Builds the loop's noise coefficients, the filter gains and the joint
-    covariance from the model equations, independently of ``privmask``.
+    Builds the loop's noise coefficients, the filter recursion and the
+    covariances from the model equations, independently of ``privmask``.
+    Directed sums come from mp Cholesky pivots of the three orderings per
+    target, mutual information from mp determinants.
     """
     mp = mpmath.mp.clone()
     mp.dps = 50
-    a, k, w, m, n, T = mp.mpf(1), mp.mpf(-1), mp.mpf("0.05"), mp.mpf(0), mp.mpf("0.05"), 2
-    # basis [N_0, N_1, N_2, M_0, M_1, W_1, W_2]
+    a, k, w, m, n = (mp.mpf(v) for v in (sys.a, sys.k, sys.w, masks.m, masks.n))
+    # basis [N_0..N_T, M_0..M_{T-1}, W_1..W_T]
     var = [n] * (T + 1) + [m] * T + [w] * T
     zero = lambda: [mp.mpf(0)] * len(var)
     axpy = lambda c, u, v: [c * ui + vi for ui, vi in zip(u, v)]
     x, y, u, xh = [zero()], [zero()], [zero()], [zero()]
     y[0][0] = mp.mpf(1)
     u[0] = [k * c for c in y[0]]
-    post = mp.mpf(0)
+    post, s_pred = mp.mpf(0), []
     for t in range(1, T + 1):
         xt = axpy(a, x[t - 1], u[t - 1])
         xt[T + t] += 1  # M_{t-1}
@@ -301,6 +318,7 @@ def _mp_deficit_anchor_two_steps():
         yt = list(xt)
         yt[t] += 1  # N_t
         s = a * a * post + m + w
+        s_pred.append(s)
         gain = s / (s + n)
         post = (1 - gain) ** 2 * s + gain ** 2 * n
         pred = axpy(a, xh[t - 1], u[t - 1])
@@ -310,13 +328,56 @@ def _mp_deficit_anchor_two_steps():
         xh.append(axpy(gain, [yi - pi for yi, pi in zip(yt, pred)], pred))
     cov = lambda rows: mp.matrix(
         [[mp.fsum(r1[i] * r2[i] * var[i] for i in range(len(var))) for r2 in rows] for r1 in rows])
-    logdet = lambda rows: mp.log(mp.det(cov(rows)))
-    mi = lambda xs, zs: (logdet(xs) + logdet(zs) - logdet(xs + zs)) / 2
-    return mi(x[1:], y) - mi(x[1:], xh[1:]), mp
+    pivots = lambda rows: [mp.cholesky(cov(rows))[j, j] ** 2 for j in range(len(rows))]
+    mi = lambda zs: (mp.log(mp.det(cov(x[1:]))) + mp.log(mp.det(cov(zs)))
+                     - mp.log(mp.det(cov(x[1:] + zs)))) / 2
+
+    def directed(zs, pre):
+        # zs[pre + t - 1] is Z_t; the interleaved ordering puts X_t before Z_t
+        inter = zs[:pre] + [r for t in range(1, T + 1) for r in (x[t], zs[pre + t - 1])]
+        pz, px, pi = pivots(zs)[pre:], pivots(x[1:]), pivots(inter)
+        fwd = [mp.log(pz[j] / pi[pre + 2 * j + 1]) / 2 for j in range(T)]
+        bwd = [mp.log(px[j] / pi[pre + 2 * j]) / 2 for j in range(T)]
+        return fwd, mp.fsum(fwd), mp.fsum(bwd)
+
+    terms_y, fwd_y, bwd_y = directed(y, 1)
+    _, fwd_xh, bwd_xh = directed(xh[1:], 0)
+    mi_y, mi_xh = mi(y), mi(xh[1:])
+    closed = [mp.log1p(s / n) / 2 for s in s_pred]
+    rows = {
+        "conservation_measurement": (mi_y, fwd_y + bwd_y),
+        "forward_sum_closed_form": (fwd_y, mp.fsum(closed)),
+        "backward_sum_closed_form": (bwd_y, T * mp.log1p(k * k * n / (m + w)) / 2),
+    }
+    rows.update((f"uplink_term_{t}", (terms_y[t - 1], closed[t - 1])) for t in range(1, T + 1))
+    rows.update({
+        "conservation_estimate": (mi_xh, fwd_xh + bwd_xh),
+        "mi_estimate_vs_measurement": (mi_xh, mi_y),
+        "forward_estimate_vs_measurement": (fwd_xh, fwd_y),
+        "backward_estimate_vs_measurement": (bwd_xh, bwd_y),
+    })
+    return rows, mp
+
+
+@pytest.mark.parametrize("sys_, masks", [
+    (ANCHOR, ANCHOR_MASKS),
+    (SystemParams(a=1.3, k=-0.8, w=0.2, q=1, r=1), MaskParams(m=0.1, n=0.3)),
+], ids=["anchor", "open-loop-unstable"])
+def test_every_row_matches_fifty_digit_arithmetic(sys_, masks):
+    ref, _ = _mp_report(sys_, masks, 3)
+    report = consistency_report(sys_, masks, 3)
+    assert [c.name for c in report] == list(ref)
+    for c in report:
+        lhs, rhs = ref[c.name]
+        assert abs(c.lhs - float(lhs)) <= 1e-12, c
+        assert abs(c.rhs - float(rhs)) <= 1e-12, c
+        assert abs(c.abs_err - float(abs(lhs - rhs))) <= 1e-12, c
 
 
 def test_two_step_deficit_matches_fifty_digit_arithmetic():
-    deficit, mp = _mp_deficit_anchor_two_steps()
+    ref, mp = _mp_report(ANCHOR, ANCHOR_MASKS, 2)
+    mi_xh, mi_y = ref["mi_estimate_vs_measurement"]
+    deficit = mi_y - mi_xh
     assert abs(deficit - mp.log(2 * mp.sqrt(370) / 37)) < mp.mpf(10) ** -45
     report = {c.name: c for c in consistency_report(ANCHOR, ANCHOR_MASKS, 2)}
     assert abs(report["mi_estimate_vs_measurement"].abs_err - float(deficit)) <= 1e-14

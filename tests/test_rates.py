@@ -177,6 +177,24 @@ class TestMiRateFromNnr:
             assert mi_rate_from_nnr_derivative(ANCHOR, alpha) == pytest.approx(num, abs=1e-8)
 
 
+    @pytest.mark.parametrize("alpha", [1e-155, 1e-160, 1e-165])
+    def test_derivative_where_alpha_squared_is_not_normal(self, alpha):
+        # alpha**2 is subnormal (1e-155, 1e-160) or 0 (1e-165); the derivative is about -0.5/alpha
+        mp = mpmath.mp.clone()
+        mp.dps = 80
+        a, k2 = mp.mpf(ANCHOR.a), mp.mpf(ANCHOR.k) ** 2
+
+        def total(x):
+            b = a * a - 1 + 1 / x
+            s = (b + mp.sqrt(b * b + 4 / x)) / 2
+            return (mp.log1p(s) + mp.log1p(k2 * x)) / 2
+
+        x = mp.mpf(alpha)
+        h = x * mp.mpf(10) ** -30
+        exact = (total(x + h) - total(x - h)) / (2 * h)
+        assert mi_rate_from_nnr_derivative(ANCHOR, alpha) == pytest.approx(float(exact), rel=1e-14)
+
+
 class TestCostRate:
     def test_anchor_quarter(self):
         assert control_cost_rate(ANCHOR, ANCHOR_MASKS) == pytest.approx(0.25, abs=1e-15)

@@ -84,6 +84,13 @@ class TestSolveAre:
         assert solve_are(100.0, 1e-8, 1.0) == pytest.approx(9999.0, rel=1e-6)
         assert math.isfinite(solve_are(0.0, 1e-12, 1e6))
 
+    @pytest.mark.parametrize("a, p, n", [(1.0, 1e308, 1.0), (2.0, 1e308, 1e307), (0.5, 1.7e308, 1e300)])
+    def test_finite_root_whose_sum_overflows(self, a, p, n):
+        # b + disc exceeds the largest double, the root (b + disc)/2 does not
+        exact = exact_root(a, p, n)
+        assert math.isfinite(exact)
+        assert abs(solve_are(a, p, n) - exact) <= 4 * math.ulp(exact)
+
     def test_root_selection_and_sign_structure(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
