@@ -108,15 +108,14 @@ def _quartic(coeffs: tuple, alpha: float) -> float:
     return ((c4 * alpha + c3) * alpha * alpha + c1) * alpha + c0
 
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of ``f`` in [lo, hi], given f(lo) <= 0 < f(hi).
+def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
+    """Root of ``f`` in [lo, hi] and its f value, given f_lo = f(lo) <= 0 < f_hi = f(hi).
 
     Halves the bracket until its midpoint is no longer strictly inside,
     i.e. until lo and hi are adjacent doubles, and returns the end with the
-    smaller |f|.  The bracket shrinks at every step, so the loop ends for
-    any ``f``, one that returns NaN included.
+    smaller |f|.  ``f`` runs only at midpoints, so the loop ends for any
+    ``f``, one that returns NaN included.
     """
-    f_lo, f_hi = f(lo), f(hi)
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
         f_mid = f(mid)
@@ -125,26 +124,26 @@ def _bisect(f, lo: float, hi: float) -> float:
         else:
             hi, f_hi = mid, f_mid
         mid = 0.5 * (lo + hi)
-    return lo if abs(f_lo) <= abs(f_hi) else hi
+    return (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
 
 
 def optimal_nnr(a: float, k: float) -> DesignReport:
     """Unique positive root of the optimality quartic, by bracket + bisect.
 
-    The bracket starts at [0, 1] and doubles the upper end until the
-    quartic turns positive; ``_bisect`` then narrows it to adjacent doubles.
+    The bracket starts at [0, 1] and moves up to [hi, 2 hi] until the quartic
+    turns positive; ``_bisect`` then narrows it to adjacent doubles.
     """
     coeffs = quartic_coefficients(a, k)
-    hi = 1.0
-    while _quartic(coeffs, hi) <= 0:
-        hi *= 2.0
+    lo, f_lo, hi = 0.0, coeffs[3], 1.0
+    while (f_hi := _quartic(coeffs, hi)) <= 0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > 1e30:
             raise NoConvergence("no sign change found while bracketing the quartic root")
-    alpha = _bisect(lambda x: _quartic(coeffs, x), 0.0, hi)
+    alpha, f_alpha = _bisect(lambda x: _quartic(coeffs, x), lo, hi, f_lo, f_hi)
 
     scale = max(abs(coeffs[0]) * alpha**4, abs(coeffs[1]) * alpha**3,
                 abs(coeffs[2]) * alpha, abs(coeffs[3]))
-    residual = abs(_quartic(coeffs, alpha)) / scale
+    residual = abs(f_alpha) / scale
     rate = mi_rate_from_nnr(SystemParams(a=a, k=k, w=0.0), alpha)
     return DesignReport(alpha_star=alpha, residual=residual, mi_min=rate.total)
 
@@ -173,11 +172,12 @@ def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
     solve for all weights.  The cost is affine in alpha with slope c1 >= 0,
     so the exact derivative ``dJ/d(alpha) = mi_rate_from_nnr_derivative +
     lam*c1`` rises through zero at most once there, and the optimum is its
-    root, found by ``_bisect``.  Each point satisfies |dJ/d(alpha)| <= 1e-8
-    unless the derivative is already >= 0 at the floor; alpha is then the
-    floor, flagged via ``at_boundary``.  A zero ``lam*c1`` (lam = 0,
-    q = r = 0, or a product that underflows) leaves the rate alone: alpha
-    is alpha*.
+    root, found by ``_bisect``.  The rate derivative is evaluated once per
+    curve at each end of that bracket, and each weight adds its own lam*c1.
+    Each point satisfies |dJ/d(alpha)| <= 1e-8 unless the derivative is
+    already >= 0 at the floor; alpha is then the floor, flagged via
+    ``at_boundary``.  A zero ``lam*c1`` (lam = 0, q = r = 0, or a product
+    that underflows) leaves the rate alone: alpha is alpha*.
     """
     lam_list = list(lambdas)
     if not lam_list:
@@ -191,24 +191,28 @@ def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
             "w = 0: the cost along the m = 0 line is unrealizable (no finite "
             "ratio keeps the privacy loss bounded as m vanishes)")
     alpha_star = optimal_nnr(sys.a, sys.k).alpha_star
-    return [_tradeoff_point(sys, lam, alpha_star) for lam in lam_list]
+    ends = (TRADEOFF_LO_FACTOR * alpha_star, alpha_star)
+    slopes = tuple(mi_rate_from_nnr_derivative(sys, x) for x in ends)
+    c1 = control_cost_rate_from_nnr_derivative(sys)
+    return [_tradeoff_point(sys, lam, lam * c1, ends, slopes) for lam in lam_list]
 
 
-def _tradeoff_point(sys: SystemParams, lam: float, alpha_star: float) -> TradeoffPoint:
-    cost_slope = lam * control_cost_rate_from_nnr_derivative(sys)
+def _tradeoff_point(sys: SystemParams, lam: float, cost_slope: float,
+                    ends: tuple, slopes: tuple) -> TradeoffPoint:
+    (floor, alpha_star), (rate_floor, rate_star) = ends, slopes
 
     def deriv(x: float) -> float:
         return mi_rate_from_nnr_derivative(sys, x) + cost_slope
 
     alpha, at_boundary = alpha_star, False
     if cost_slope != 0:
-        floor = TRADEOFF_LO_FACTOR * alpha_star
-        at_boundary = deriv(floor) >= 0
+        f_floor = rate_floor + cost_slope
+        at_boundary = f_floor >= 0
         if at_boundary:
             alpha = floor
         else:
-            alpha = _bisect(deriv, floor, alpha_star)
-            first_order = abs(deriv(alpha))
+            alpha, f_alpha = _bisect(deriv, floor, alpha_star, f_floor, rate_star + cost_slope)
+            first_order = abs(f_alpha)
             if not first_order <= FIRST_ORDER_TOL:  # a NaN residual fails too
                 raise NoConvergence(
                     f"first-order residual {first_order:.3e} above {FIRST_ORDER_TOL} "

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha
 from .params import MaskParams, SystemParams, require_stable
-from .riccati import _MIN_NORMAL, prediction_covariances, solve_are, steady_state_second_moment
+from .riccati import prediction_covariances, solve_are, steady_state_second_moment
 
 
 @dataclass(frozen=True)
@@ -106,21 +106,17 @@ def mi_rate_from_nnr(sys: SystemParams, alpha: float) -> PrivacyRates:
 
 
 def mi_rate_from_nnr_derivative(sys: SystemParams, alpha: float) -> float:
-    """Exact d/d(alpha) of the total rate from ``mi_rate_from_nnr``.
+    """Exact d/d(alpha) of the total rate from ``mi_rate_from_nnr``, with no root s(alpha).
 
-    Differentiates the root s(alpha) implicitly through its quadratic
-    s^2 - b*s - 1/alpha = 0; the denominator 2s - b equals the discriminant
-    square root, which is strictly positive for alpha > 0.
+    The uplink term -1/(2 alpha^2 sqrt(D)), D = b^2 + 4/alpha, b = a^2 - 1 + 1/alpha, is taken
+    as -0.5/(alpha*hypot(alpha*b, 2 sqrt(alpha))): alpha*b = alpha*(a-1)(a+1) + 1 does not
+    cancel near |a| = 1 and stays finite where 1/alpha overflows.
     """
-    s = nnr_prediction_ratio(sys.a, alpha)
-    disc = 2.0 * s - (sys.a * sys.a - 1.0 + 1.0 / alpha)
+    if alpha <= 0:
+        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
     k2 = sys.k * sys.k
-    down = k2 / (2.0 * (1.0 + k2 * alpha))
-    if alpha * alpha < _MIN_NORMAL:
-        # alpha**2 is subnormal or 0 and (s + 1)/alpha**2 overflows; the (s + 1) factor cancels
-        return -0.5 / (alpha * (alpha * disc)) + down
-    ds = -(s + 1.0) / (alpha * alpha * disc)
-    return ds / (2.0 * (1.0 + s)) + down
+    up = -0.5 / (alpha * math.hypot(alpha * ((sys.a - 1.0) * (sys.a + 1.0)) + 1.0, 2.0 * math.sqrt(alpha)))
+    return up + k2 / (2.0 * (1.0 + k2 * alpha))
 
 
 def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:

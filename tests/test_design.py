@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from privmask import design
+from privmask import design, rates
 from privmask import (
     EmptyInput,
     IllDefinedNnr,
@@ -18,6 +19,7 @@ from privmask import (
     boundary_diagnostics,
     control_cost_rate_from_nnr_derivative,
     masks_from_nnr,
+    mi_rate_from_nnr_derivative,
     mi_rate_from_nnr,
     nnr_prediction_ratio,
     optimal_nnr,
@@ -60,12 +62,52 @@ def front_point(sys_, s):
 
 class TestBisect:
     def test_brackets_a_root_to_adjacent_doubles(self):
-        root = design._bisect(lambda x: x * x - 2.0, 0.0, 2.0)
+        root, f_root = design._bisect(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
+        assert f_root == root * root - 2.0
 
     def test_terminates_on_nan(self):
-        assert 0.0 <= design._bisect(lambda x: math.nan, 0.0, 1.0) <= 1.0
-        assert 1.0 <= design._bisect(lambda x: math.nan if x > 1.5 else -1.0, 1.0, 2.0) <= 2.0
+        assert 0.0 <= design._bisect(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)[0] <= 1.0
+        nan_above = lambda x: math.nan if x > 1.5 else -1.0  # noqa: E731
+        assert 1.0 <= design._bisect(nan_above, 1.0, 2.0, -1.0, math.nan)[0] <= 2.0
+
+
+def near_unit_system(rng, small_gain):
+    """Stable plant with |a| = 1 +- 10^U(-12, -1), or |a| just below 1 and 0 < |k| < 0.1."""
+    sign = rng.choice([-1.0, 1.0])
+    if small_gain:
+        a = sign * (1.0 - 10.0 ** rng.uniform(-12, -1))
+        return SystemParams(a=a, k=-sign * 10.0 ** rng.uniform(-9, -1), w=rng.uniform(0.01, 0.5),
+                            q=1, r=1)
+    while True:
+        a = sign * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -1))
+        k = rng.uniform(-0.8, 0.8) - a
+        if abs(k) >= 0.1:
+            return SystemParams(a=a, k=k, w=rng.uniform(0.01, 0.5), q=1, r=1)
+
+
+def rises(sys_, cost_slope, x):
+    """Exact sign test dJ/d(alpha) > 0 at x, in rationals, for the float slope lam*c1.
+
+    With t = 2 x^2 (k^2/(2(1 + k^2 x)) + lam*c1), b = a^2 - 1 + 1/x and
+    D = b^2 + 4/x, dJ/d(alpha) = (t - 1/sqrt(D))/(2 x^2): negative when t <= 0,
+    otherwise of the sign of t^2 D - 1.
+    """
+    a, k2, x = Fraction(sys_.a), Fraction(sys_.k) ** 2, Fraction(x)
+    t = 2 * x * x * (k2 / (2 * (1 + k2 * x)) + Fraction(cost_slope))
+    if t <= 0:
+        return False
+    b = a * a - 1 + 1 / x
+    return t * t * (b * b + 4 / x) > 1
+
+
+def ulps_from_exact_bracket(sys_, cost_slope, alpha):
+    """0 if alpha is an end of the adjacent doubles around the exact root, else the ulps past it."""
+    side = rises(sys_, cost_slope, alpha)
+    x, off = alpha, 0
+    while rises(sys_, cost_slope, x := math.nextafter(x, -math.inf if side else math.inf)) == side:
+        off += 1
+    return off
 
 
 def quartic(a, k, alpha):
@@ -211,6 +253,63 @@ class TestTradeoff:
                 (pt,) = tradeoff_curve(sys_, [lam])
                 assert not pt.at_boundary, (sys_, lam)
                 assert pt.alpha == pytest.approx(alpha, rel=1e-12), (sys_, lam)
+
+    def test_interior_points_sit_on_the_exact_bracket(self):
+        # 100 plants each as the certify workload draws them, with |a| = 1 +- 10^U(-12, -1),
+        # and with |a| just below 1 and a small gain, which puts alpha* far above 1.  Of the
+        # 2,051 interior points, 1,825 (89%) are an end of the exact bracket and none is more
+        # than 2 ulps past it (the derivative through the root s(alpha), in which a*a - 1
+        # cancels, read 1,532 and up to 2,777 ulps)
+        rng = np.random.default_rng(2311)
+        systems = [stable_system(rng) for _ in range(100)]
+        systems += [near_unit_system(rng, small_gain=i % 2 == 1) for i in range(200)]
+        offs = []
+        for sys_ in systems:
+            c1 = control_cost_rate_from_nnr_derivative(sys_)
+            for pt in tradeoff_curve(sys_, WORKLOAD_LAMBDAS):
+                if not pt.at_boundary:
+                    offs.append(ulps_from_exact_bracket(sys_, pt.lam * c1, pt.alpha))
+        assert max(offs) <= 2
+        assert offs.count(0) >= 0.85 * len(offs)
+
+    def test_each_bracket_end_evaluated_once(self, monkeypatch):
+        derivative_at, quartic_at, riccati_calls = [], [], []
+        kernel, quartic_kernel, ratio = (design.mi_rate_from_nnr_derivative, design._quartic,
+                                         rates.nnr_prediction_ratio)
+
+        def counting(sys_, x):
+            before = len(riccati_calls)
+            derivative_at.append(x)
+            value = kernel(sys_, x)
+            assert len(riccati_calls) == before  # no Riccati root under the derivative
+            return value
+
+        monkeypatch.setattr(design, "mi_rate_from_nnr_derivative", counting)
+        monkeypatch.setattr(design, "_quartic", lambda c, x: quartic_at.append(x) or quartic_kernel(c, x))
+        monkeypatch.setattr(rates, "nnr_prediction_ratio",
+                            lambda a, x: riccati_calls.append(x) or ratio(a, x))
+        monkeypatch.setattr(rates, "solve_are",
+                            lambda a, p, n, solve=rates.solve_are: riccati_calls.append(n) or solve(a, p, n))
+        rng = np.random.default_rng(5)
+        for sys_ in [ANCHOR] + [stable_system(rng) for _ in range(10)]:
+            for calls in (derivative_at, quartic_at, riccati_calls):
+                calls.clear()
+            points = tradeoff_curve(sys_, (0.0,) + WORKLOAD_LAMBDAS)
+            astar = points[0].alpha
+            # the quartic is never taken at 0 (its value there is c0) nor twice anywhere
+            assert 0.0 not in quartic_at and len(set(quartic_at)) == len(quartic_at)
+            assert derivative_at[:2] == [design.TRADEOFF_LO_FACTOR * astar, astar]
+            assert derivative_at.count(derivative_at[0]) == derivative_at.count(astar) == 1
+            # each point's bisection runs only at midpoints, never at the root it returns
+            for pt in points[1:]:
+                if not pt.at_boundary:
+                    derivative_at.clear()
+                    tradeoff_curve(sys_, [pt.lam])
+                    assert len(set(derivative_at)) == len(derivative_at)
+            # one Riccati root for alpha*'s rate and one per point's rate, none in the search
+            riccati_calls.clear()
+            tradeoff_curve(sys_, (0.0,) + WORKLOAD_LAMBDAS)
+            assert len(riccati_calls) == 2 * (1 + len(points))
 
     def test_weight_past_the_floor_pins_alpha_to_it(self):
         rng = np.random.default_rng(11)

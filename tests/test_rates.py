@@ -194,6 +194,42 @@ class TestMiRateFromNnr:
         exact = (total(x + h) - total(x - h)) / (2 * h)
         assert mi_rate_from_nnr_derivative(ANCHOR, alpha) == pytest.approx(float(exact), rel=1e-14)
 
+    def test_derivative_matches_mpmath_near_unit_a(self):
+        # |a| = 1 +- 10^U(-12, -1), alpha from 1e-165 to 1e150; the two terms can cancel, so the
+        # error is taken relative to |uplink term| + |downlink term|.  Over these 2,000 points
+        # it reads 1.32 eps (1.94 for the form through the root s(alpha) it replaced)
+        mp = mpmath.mp.clone()
+        mp.dps = 80
+        rng = np.random.default_rng(2310)
+        worst = 0.0
+        for _ in range(2000):
+            a = float(rng.choice([-1.0, 1.0]) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12, -1)))
+            k = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2, 1))
+            alpha = float(10.0 ** rng.uniform(-165, 150))
+            got = mi_rate_from_nnr_derivative(SystemParams(a=a, k=k, w=0.1), alpha)
+            x, k2 = mp.mpf(alpha), mp.mpf(k) ** 2
+            b = mp.mpf(a) ** 2 - 1 + 1 / x
+            up = -1 / (2 * x * x * mp.sqrt(b * b + 4 / x))
+            down = k2 / (2 * (1 + k2 * x))
+            worst = max(worst, float(abs(got - (up + down)) / (abs(up) + abs(down))))
+        assert worst <= 1.5 * 2.0**-52
+
+    @pytest.mark.parametrize("alpha", [3e-309, 4e-309, 5.5e-309])
+    def test_derivative_where_one_over_alpha_overflows(self, alpha):
+        # 1/alpha is inf but the derivative, about -0.5/alpha, is still finite
+        assert 1.0 / alpha == math.inf
+        mp = mpmath.mp.clone()
+        mp.dps = 80
+        x, k2 = mp.mpf(alpha), mp.mpf(ANCHOR.k) ** 2
+        b = mp.mpf(ANCHOR.a) ** 2 - 1 + 1 / x
+        exact = -1 / (2 * x * x * mp.sqrt(b * b + 4 / x)) + k2 / (2 * (1 + k2 * x))
+        assert mi_rate_from_nnr_derivative(ANCHOR, alpha) == float(exact)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, -5e-324, -1.0, -math.inf])
+    def test_derivative_rejects_nonpositive_alpha(self, alpha):
+        with pytest.raises(NonPositiveAlpha):
+            mi_rate_from_nnr_derivative(ANCHOR, alpha)
+
 
 class TestCostRate:
     def test_anchor_quarter(self):
