@@ -192,14 +192,14 @@ def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
             "ratio keeps the privacy loss bounded as m vanishes)")
     alpha_star = optimal_nnr(sys.a, sys.k).alpha_star
     ends = (TRADEOFF_LO_FACTOR * alpha_star, alpha_star)
-    slopes = tuple(mi_rate_from_nnr_derivative(sys, x) for x in ends)
+    rate_slopes = tuple(mi_rate_from_nnr_derivative(sys, x) for x in ends)
     c1 = control_cost_rate_from_nnr_derivative(sys)
-    return [_tradeoff_point(sys, lam, lam * c1, ends, slopes) for lam in lam_list]
+    return [_tradeoff_point(sys, lam, lam * c1, ends, rate_slopes) for lam in lam_list]
 
 
 def _tradeoff_point(sys: SystemParams, lam: float, cost_slope: float,
-                    ends: tuple, slopes: tuple) -> TradeoffPoint:
-    (floor, alpha_star), (rate_floor, rate_star) = ends, slopes
+                    ends: tuple, rate_slopes: tuple) -> TradeoffPoint:
+    (floor, alpha_star), (rate_floor, rate_star) = ends, rate_slopes
 
     def deriv(x: float) -> float:
         return mi_rate_from_nnr_derivative(sys, x) + cost_slope

@@ -19,7 +19,6 @@ from privmask import (
     boundary_diagnostics,
     control_cost_rate_from_nnr_derivative,
     masks_from_nnr,
-    mi_rate_from_nnr_derivative,
     mi_rate_from_nnr,
     nnr_prediction_ratio,
     optimal_nnr,
@@ -68,8 +67,8 @@ class TestBisect:
 
     def test_terminates_on_nan(self):
         assert 0.0 <= design._bisect(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)[0] <= 1.0
-        nan_above = lambda x: math.nan if x > 1.5 else -1.0  # noqa: E731
-        assert 1.0 <= design._bisect(nan_above, 1.0, 2.0, -1.0, math.nan)[0] <= 2.0
+        assert 1.0 <= design._bisect(lambda x: math.nan if x > 1.5 else -1.0,
+                                     1.0, 2.0, -1.0, math.nan)[0] <= 2.0
 
 
 def near_unit_system(rng, small_gain):
@@ -255,8 +254,8 @@ class TestTradeoff:
                 assert pt.alpha == pytest.approx(alpha, rel=1e-12), (sys_, lam)
 
     def test_interior_points_sit_on_the_exact_bracket(self):
-        # 100 plants each as the certify workload draws them, with |a| = 1 +- 10^U(-12, -1),
-        # and with |a| just below 1 and a small gain, which puts alpha* far above 1.  Of the
+        # 100 plants as the certify workload draws them, 100 with |a| = 1 +- 10^U(-12, -1) and
+        # 100 with |a| just below 1 and a small gain, which puts alpha* far above 1.  Of the
         # 2,051 interior points, 1,825 (89%) are an end of the exact bracket and none is more
         # than 2 ulps past it (the derivative through the root s(alpha), in which a*a - 1
         # cancels, read 1,532 and up to 2,777 ulps)
@@ -285,11 +284,13 @@ class TestTradeoff:
             return value
 
         monkeypatch.setattr(design, "mi_rate_from_nnr_derivative", counting)
-        monkeypatch.setattr(design, "_quartic", lambda c, x: quartic_at.append(x) or quartic_kernel(c, x))
+        solve = rates.solve_are
+        monkeypatch.setattr(design, "_quartic",
+                            lambda c, x: quartic_at.append(x) or quartic_kernel(c, x))
         monkeypatch.setattr(rates, "nnr_prediction_ratio",
                             lambda a, x: riccati_calls.append(x) or ratio(a, x))
         monkeypatch.setattr(rates, "solve_are",
-                            lambda a, p, n, solve=rates.solve_are: riccati_calls.append(n) or solve(a, p, n))
+                            lambda a, p, n: riccati_calls.append(n) or solve(a, p, n))
         rng = np.random.default_rng(5)
         for sys_ in [ANCHOR] + [stable_system(rng) for _ in range(10)]:
             for calls in (derivative_at, quartic_at, riccati_calls):
@@ -306,7 +307,8 @@ class TestTradeoff:
                     derivative_at.clear()
                     tradeoff_curve(sys_, [pt.lam])
                     assert len(set(derivative_at)) == len(derivative_at)
-            # one Riccati root for alpha*'s rate and one per point's rate, none in the search
+            # one ratio and the solve_are under it for alpha*'s rate and for each point's rate,
+            # none in the search
             riccati_calls.clear()
             tradeoff_curve(sys_, (0.0,) + WORKLOAD_LAMBDAS)
             assert len(riccati_calls) == 2 * (1 + len(points))
