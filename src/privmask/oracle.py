@@ -1,27 +1,31 @@
 """Exact finite-horizon information computations for the closed loop.
 
-Every signal in the loop (state ``X_t``, masked uplink ``Y_t``, raw command
-``U_t``, cloud estimate ``Xhat_t``) is a linear combination of the
-underlying independent Gaussian noises, so its exact joint covariance can
-be assembled by propagating coefficient vectors instead of sampling.
-Mutual information then reduces to log-determinants, and directed
-information to squared Cholesky pivots: the pivot at a position of an
-ordering is the variance of that signal given everything before it.  This
-module is the independent verification path for the closed forms in
+Every signal in the loop (state ``X_t``, masked uplink ``Y_t``, cloud
+estimate ``Xhat_t``) is a linear combination of the underlying independent
+Gaussian noises, so its exact joint covariance can be assembled by
+propagating coefficient vectors instead of sampling.  The raw command
+``U_t = k*Y_t`` carries the same information as ``Y_t`` and is not
+offered.  Mutual information then reduces to log-determinants, and
+directed information to squared Cholesky pivots: the pivot at a position
+of an ordering is the variance of that signal given everything before it.
+This module is the independent verification path for the closed forms in
 :mod:`privmask.rates`.
 
-One Gram product gives the covariance of Y, X and Xhat up to the horizon
-(U_t = k*Y_t is scaled from Y), and every factorization gathers its block
-from it with ``np.ix_``, as ``joint_covariance`` does.  Each distinct
-ordering is factored once per call, so ``consistency_report`` factors
-seven: X, Y, Xhat, the two interleaved orderings and the blocks [X Y] and
-[X Xhat].
+``joint_covariance`` builds one Gram product, the covariance of Y, X and
+Xhat up to the horizon, and returns it as a ``JointCovariance``.  Every
+factorization gathers its block from that covariance with ``np.ix_``, and
+the object keeps the squared pivots of each distinct ordering, so
+``exact_mi``, ``exact_directed_info`` and ``consistency_report`` share one
+factorization per ordering.  ``consistency_report`` factors seven: X, Y,
+Xhat, the two interleaved orderings and the blocks [X Y] and [X Xhat].
 
 Every factorization goes through ``_chol``, which refuses a covariance
-whose smallest pivot is so small against its largest diagonal entry that
-rounding alone could exceed the ``CHECK_TOL`` comparisons
-(``SingularBlock``).  That guard, not the horizon, is what bounds the
-precision; ``HORIZON_CAP`` only bounds time and memory.
+(``SingularBlock``) once rounding in one of its pivots could reach a tenth
+of ``CHECK_TOL``.  That guard bounds each pivot, not the totals, which sum
+2T + 1 log pivots: ``verify --a 0.841704 --k -0.600731 --w 4.31264022310946
+--m 0.0026573354857846636 --n 3.116584488003355e-05 --T 256`` passes it and
+exits 1 by rounding alone, ``conservation_measurement`` off by 4.8e-9 on
+totals of about 1515 nats.  ``HORIZON_CAP`` bounds time and memory.
 
 Initial conditions are pinned to a known zero state: ``X_0 = 0``,
 ``Xhat_0 = 0`` and zero initial error covariance.  One consequence is that
@@ -36,9 +40,8 @@ as informational rows.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,18 +57,7 @@ CHECK_TOL = 1e-9
 # refuse a pivot once that could reach a tenth of CHECK_TOL
 PIVOT_RTOL = 10 * np.finfo(float).eps / CHECK_TOL
 
-_LABEL_RE = re.compile(r"^(X|Y|Xhat|U)_(\d+)$")
-
-
-@dataclass(frozen=True)
-class JointCovariance:
-    """Exact covariance of a chosen ordered set of loop signals."""
-
-    labels: tuple
-    cov: np.ndarray
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+_KINDS = ("Y", "X", "Xhat")  # the order of the kinds in ``JointCovariance.cov``
 
 
 @dataclass(frozen=True)
@@ -100,53 +92,36 @@ class ConsistencyCheck:
     informational: bool = False
 
 
-class _SignalSpace:
-    """One covariance of all loop signals, and the factorizations read from it.
+class JointCovariance:
+    """Exact covariance of every loop signal up to a horizon, and its factorizations.
 
-    Basis order of the coefficient rows: [N_0..N_T, M_0..M_{T-1}, W_1..W_T].
     ``cov`` is the covariance of Y_0..Y_T, X_0..X_T and Xhat_0..Xhat_T, kind
-    by kind (X_0 = Xhat_0 = 0); U_t = k*Y_t is not stored.  ``span(kind)``
-    gives the positions of one kind in ``cov``, and ``pivots`` factors the
-    block at a sequence of positions once, however often that ordering is
-    asked for.
+    by kind (X_0 = Xhat_0 = 0).  ``index`` and ``span`` give positions in
+    ``cov``, and ``pivots`` factors the block at a sequence of positions
+    once, however often that ordering is asked for.
     """
 
-    def __init__(self, sys: SystemParams, masks: MaskParams, horizon: int):
-        T = horizon
-        self.horizon = T
-        nb = (T + 1) + T + T
-        var = np.concatenate(
-            [np.full(T + 1, masks.n), np.full(T, masks.m), np.full(T, sys.w)]
-        )
-        _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, T)
-
-        rows = np.zeros((3 * (T + 1), nb))
-        y, x, xh = rows.reshape(3, T + 1, nb)  # views: row t of each is kind_t
-        u = np.zeros((T + 1, nb))  # U_t = k*Y_t, needed by the recursion only
-        y[0, 0] = 1.0  # Y_0 = X_0 + N_0 = N_0
-        u[0] = sys.k * y[0]
-        for t in range(1, T + 1):
-            x[t] = sys.a * x[t - 1] + u[t - 1]
-            x[t, (T + 1) + (t - 1)] += 1.0  # M_{t-1}
-            x[t, (T + 1) + T + (t - 1)] += 1.0  # W_t
-            y[t] = x[t].copy()
-            y[t, t] += 1.0  # N_t
-            u[t] = sys.k * y[t]
-            pred = sys.a * xh[t - 1] + u[t - 1]
-            l = gains[t - 1]
-            xh[t] = pred + l * (y[t] - pred)
-        self.cov = (rows * var) @ rows.T
-        self._first = {"Y": 0, "X": T + 1, "Xhat": 2 * (T + 1)}  # position of kind_0
+    def __init__(self, horizon: int, cov: np.ndarray):
+        self.horizon = horizon
+        self.cov = cov
         self._pivots = {}
 
-    def position(self, kind: str, t: int) -> int:
-        """Position of ``{kind}_t`` in ``cov``, kind Y, X or Xhat."""
-        return self._first[kind] + t
+    def index(self, label: str) -> int:
+        """Position of ``label``, one of Y_0..Y_T, X_1..X_T and Xhat_1..Xhat_T."""
+        kind, _, t = label.rpartition("_")
+        # isdecimal, not a bare int(): int takes "-1" and " 1", and refuses "²" without a message
+        if kind in _KINDS and t.isdecimal():
+            pos = _KINDS.index(kind) * (self.horizon + 1) + int(t)
+            if pos in self.span(kind):
+                return pos
+        T = self.horizon
+        raise ValueError(f"unknown signal label {label!r}: expected one of "
+                         f"Y_0..Y_{T}, X_1..X_{T} and Xhat_1..Xhat_{T}")
 
     def span(self, kind: str) -> range:
         """Positions of Y_0..Y_T, X_1..X_T or Xhat_1..Xhat_T."""
-        lo = 0 if kind == "Y" else 1
-        return range(self.position(kind, lo), self.position(kind, self.horizon + 1))
+        kind_0 = _KINDS.index(kind) * (self.horizon + 1)
+        return range(kind_0 + (kind != "Y"), kind_0 + self.horizon + 1)
 
     def pivots(self, idx: Sequence[int], block: str) -> np.ndarray:
         """Squared Cholesky pivots of the signals at positions ``idx``, in order.
@@ -160,18 +135,6 @@ class _SignalSpace:
         if key not in self._pivots:
             self._pivots[key] = _chol(self.cov[np.ix_(ix, ix)], block).diagonal() ** 2
         return self._pivots[key]
-
-
-def _parse_label(label: str, horizon: int) -> tuple:
-    m = _LABEL_RE.match(label)
-    if not m:
-        raise ValueError(f"unknown signal label {label!r} (expected e.g. 'X_1', 'Y_0', 'Xhat_2', 'U_0')")
-    kind, idx = m.group(1), int(m.group(2))
-    lo = 0 if kind in ("Y", "U") else 1
-    hi = horizon - 1 if kind == "U" else horizon
-    if not lo <= idx <= hi:
-        raise ValueError(f"{label!r} outside valid range {kind}_{lo}..{kind}_{hi} for horizon {horizon}")
-    return kind, idx
 
 
 def _chol(mat: np.ndarray, block: str) -> np.ndarray:
@@ -200,11 +163,6 @@ def _chol(mat: np.ndarray, block: str) -> np.ndarray:
     return L
 
 
-def _logdet(mat: np.ndarray, block: str) -> float:
-    L = _chol(mat, block)
-    return 2.0 * float(np.log(L.diagonal()).sum())
-
-
 def _check_horizon(horizon: int) -> None:
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
@@ -212,46 +170,59 @@ def _check_horizon(horizon: int) -> None:
         raise HorizonTooLarge(f"horizon must be in 1..{HORIZON_CAP}, got {horizon}")
 
 
-def joint_covariance(
-    sys: SystemParams, masks: MaskParams, horizon: int, signals: Iterable[str]
-) -> JointCovariance:
-    """Exact joint covariance of the requested signals.
+def joint_covariance(sys: SystemParams, masks: MaskParams, horizon: int) -> JointCovariance:
+    """Exact joint covariance of Y_0..Y_T, X_0..X_T and Xhat_0..Xhat_T.
 
-    ``signals`` is an ordered collection of labels from
-    ``X_1..X_T, Y_0..Y_T, Xhat_1..Xhat_T, U_0..U_{T-1}``.
+    One Gram product of the signals' coefficient rows over the noise basis
+    [N_0..N_T, M_0..M_{T-1}, W_1..W_T].
     """
     _check_horizon(horizon)
-    labels = tuple(signals)
-    space = _SignalSpace(sys, masks, horizon)
-    picks = [_parse_label(label, horizon) for label in labels]
-    # U_t = k*Y_t: read the Y_t entries and scale them by k
-    idx = np.array([space.position("Y" if kind == "U" else kind, t) for kind, t in picks], dtype=int)
-    scale = np.array([sys.k if kind == "U" else 1.0 for kind, _ in picks])
-    return JointCovariance(labels=labels, cov=space.cov[np.ix_(idx, idx)] * np.outer(scale, scale))
+    T = horizon
+    nb = (T + 1) + T + T
+    var = np.concatenate([np.full(T + 1, masks.n), np.full(T, masks.m), np.full(T, sys.w)])
+    _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, T)
+
+    rows = np.zeros((3 * (T + 1), nb))
+    y, x, xh = rows.reshape(3, T + 1, nb)  # views: row t of each is kind_t
+    y[0, 0] = 1.0  # Y_0 = X_0 + N_0 = N_0
+    for t in range(1, T + 1):
+        u = sys.k * y[t - 1]  # U_{t-1}, needed by the recursion only
+        x[t] = sys.a * x[t - 1] + u
+        x[t, (T + 1) + (t - 1)] += 1.0  # M_{t-1}
+        x[t, (T + 1) + T + (t - 1)] += 1.0  # W_t
+        y[t] = x[t]
+        y[t, t] += 1.0  # N_t
+        pred = sys.a * xh[t - 1] + u
+        xh[t] = pred + gains[t - 1] * (y[t] - pred)
+    return JointCovariance(T, (rows * var) @ rows.T)
+
+
+def _mi(jc: JointCovariance, ia: Sequence[int], ib: Sequence[int],
+        name_a: str, name_b: str, name_ab: str) -> float:
+    """0.5*(log det A + log det B - log det [A B]) from the squared pivots of ``jc``.
+
+    The names of A, B and [A B] go into ``SingularBlock``.  [A B] is factored
+    in block order, A first, and so apart from the interleaved orderings of
+    ``exact_directed_info``: log det taken from the interleaved pivots would
+    make the conservation rows hold by construction.
+    """
+    logdet = lambda idx, block: float(np.log(jc.pivots(idx, block)).sum())
+    return 0.5 * (logdet(ia, name_a) + logdet(ib, name_b) - logdet([*ia, *ib], name_ab))
 
 
 def exact_mi(jc: JointCovariance, block_a: Sequence[str], block_b: Sequence[str]) -> float:
-    """Mutual information between two disjoint blocks of a JointCovariance.
+    """Mutual information between two disjoint blocks of labelled signals of ``jc``.
 
     Computed as 0.5*(logdet A + logdet B - logdet [A B]); the Gaussian
     entropy constants cancel.
     """
     if set(block_a) & set(block_b):
         raise ValueError(f"blocks must be disjoint, both contain {set(block_a) & set(block_b)}")
-    ia = [jc.index(lbl) for lbl in block_a]
-    ib = [jc.index(lbl) for lbl in block_b]
-    iab = ia + ib
-    sub = lambda idx: jc.cov[np.ix_(idx, idx)]
-    return 0.5 * (
-        _logdet(sub(ia), f"A={list(block_a)}")
-        + _logdet(sub(ib), f"B={list(block_b)}")
-        - _logdet(sub(iab), "AB")
-    )
+    return _mi(jc, [jc.index(lbl) for lbl in block_a], [jc.index(lbl) for lbl in block_b],
+               f"A={list(block_a)}", f"B={list(block_b)}", "AB")
 
 
-def exact_directed_info(
-    sys: SystemParams, masks: MaskParams, horizon: int, target: str = "Y"
-) -> DirectedInformation:
+def exact_directed_info(jc: JointCovariance, target: str = "Y") -> DirectedInformation:
     """Forward and backward directed information toward ``Y`` or ``Xhat``.
 
     Each per-step term is half the log of a ratio of conditional variances,
@@ -274,43 +245,19 @@ def exact_directed_info(
     """
     if target not in ("Y", "Xhat"):
         raise ValueError(f"target must be 'Y' or 'Xhat', got {target!r}")
-    _check_horizon(horizon)
-    return _directed_info(_SignalSpace(sys, masks, horizon), target)
-
-
-def _directed_info(space: _SignalSpace, target: str) -> DirectedInformation:
-    T = space.horizon
+    T = jc.horizon
     pre = 1 if target == "Y" else 0  # Y_0 precedes X_1; Xhat starts at 1
-    zs = space.span(target)
-    xs = space.span("X")
+    zs = jc.span(target)
+    xs = jc.span("X")
     inter = [*zs[:pre], *(i for pair in zip(xs, zs[pre:]) for i in pair)]
-    z_piv = space.pivots(zs, f"{target}^{T}")[pre:]
-    x_piv = space.pivots(xs, f"X^{T}")
-    i_piv = space.pivots(inter, f"X^{T} interleaved with {target}^{T}")
+    z_piv = jc.pivots(zs, f"{target}^{T}")[pre:]
+    x_piv = jc.pivots(xs, f"X^{T}")
+    i_piv = jc.pivots(inter, f"X^{T} interleaved with {target}^{T}")
     fwd = 0.5 * np.log(z_piv / i_piv[pre + 1 :: 2])
     bwd = 0.5 * np.log(x_piv / i_piv[pre::2])
     if not pre:
         bwd[0] = 0.0  # X_1 has no Xhat past
-    return DirectedInformation(
-        forward=float(fwd.sum()),
-        backward=float(bwd.sum()),
-        forward_terms=fwd,
-        backward_terms=bwd,
-    )
-
-
-def _mutual_info(space: _SignalSpace, target: str) -> float:
-    """I(X^T; Z^T) = 0.5*(log det X + log det Z - log det [X Z]) from squared pivots.
-
-    ``[X Z]`` is factored in block order, X first as ``exact_mi`` orders
-    [A B], and apart from the interleaved ordering: log det taken from the
-    interleaved pivots would make the conservation rows hold by construction.
-    """
-    T = space.horizon
-    xs, zs = space.span("X"), space.span(target)
-    logdet = lambda idx, block: float(np.log(space.pivots(idx, block)).sum())
-    return 0.5 * (logdet(xs, f"X^{T}") + logdet(zs, f"{target}^{T}")
-                  - logdet([*xs, *zs], f"X^{T} followed by {target}^{T}"))
+    return DirectedInformation(float(fwd.sum()), float(bwd.sum()), fwd, bwd)
 
 
 def consistency_report(
@@ -337,12 +284,14 @@ def consistency_report(
         raise DegenerateMasks("consistency_report needs n > 0 and m + w > 0")
 
     fh = finite_horizon_info(sys, masks, horizon)
-    space = _SignalSpace(sys, masks, horizon)
-    di_y = _directed_info(space, "Y")
-    di_xh = _directed_info(space, "Xhat")
+    jc = joint_covariance(sys, masks, horizon)
+    di_y = exact_directed_info(jc, "Y")
+    di_xh = exact_directed_info(jc, "Xhat")
 
-    mi_y = _mutual_info(space, "Y")
-    mi_xh = _mutual_info(space, "Xhat")
+    T = horizon
+    xs = jc.span("X")
+    mi_y = _mi(jc, xs, jc.span("Y"), f"X^{T}", f"Y^{T}", f"X^{T} followed by Y^{T}")
+    mi_xh = _mi(jc, xs, jc.span("Xhat"), f"X^{T}", f"Xhat^{T}", f"X^{T} followed by Xhat^{T}")
 
     def check(name, lhs, rhs, informational=False):
         err = abs(lhs - rhs)

@@ -37,91 +37,98 @@ def random_tuple(rng):
     )
 
 
+def block(jc, labels):
+    """The covariance of the labelled signals of ``jc``, in the order given."""
+    idx = [jc.index(label) for label in labels]
+    return jc.cov[np.ix_(idx, idx)]
+
+
+def labels_of(kind, horizon):
+    """The labels of X^T, Y^T or Xhat^T: X_1..X_T, Y_0..Y_T, Xhat_1..Xhat_T."""
+    return [f"{kind}_{t}" for t in range(kind != "Y", horizon + 1)]
+
+
 class TestJointCovariance:
     def test_hand_values_one_step(self):
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1, ["X_1", "Y_0", "Y_1"])
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1)
         expected = np.array([
             [0.10, -0.05, 0.10],
             [-0.05, 0.05, -0.05],
             [0.10, -0.05, 0.15],
         ])
-        assert np.allclose(jc.cov, expected, atol=1e-15)
+        assert np.allclose(block(jc, ["X_1", "Y_0", "Y_1"]), expected, atol=1e-15)
 
     def test_hand_values_estimate(self):
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1, ["X_1", "Xhat_1"])
-        assert jc.cov[1, 1] == pytest.approx(0.075, abs=1e-15)
-        assert jc.cov[0, 1] == pytest.approx(0.075, abs=1e-15)
+        cov = block(joint_covariance(ANCHOR, ANCHOR_MASKS, 1), ["X_1", "Xhat_1"])
+        assert cov[1, 1] == pytest.approx(0.075, abs=1e-15)
+        assert cov[0, 1] == pytest.approx(0.075, abs=1e-15)
 
     def test_first_state_variance(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             sys, masks = random_tuple(rng)
-            jc = joint_covariance(sys, masks, 1, ["X_1"])
+            jc = joint_covariance(sys, masks, 1)
             expected = sys.k**2 * masks.n + masks.m + sys.w
-            assert jc.cov[0, 0] == pytest.approx(expected, rel=1e-12)
+            assert jc.cov[jc.index("X_1"), jc.index("X_1")] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_noise_gives_zero_matrix(self):
         sys = SystemParams(a=0.7, k=-0.4, w=0.0)
-        jc = joint_covariance(sys, MaskParams(m=0, n=0), 3, ["X_1", "Y_2", "Xhat_3"])
+        jc = joint_covariance(sys, MaskParams(m=0, n=0), 3)
         assert np.all(jc.cov == 0.0)
 
     def test_psd_and_symmetric(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             sys, masks = random_tuple(rng)
-            labels = [f"X_{t}" for t in range(1, 9)] + [f"Y_{t}" for t in range(9)] \
-                + [f"Xhat_{t}" for t in range(1, 9)]
-            jc = joint_covariance(sys, masks, 8, labels)
+            jc = joint_covariance(sys, masks, 8)
             assert np.allclose(jc.cov, jc.cov.T, atol=1e-14)
             eig = np.linalg.eigvalsh(jc.cov)
             assert eig.min() >= -1e-12 * np.trace(jc.cov)
 
     def test_horizon_cap(self):
         with pytest.raises(HorizonTooLarge):
-            joint_covariance(ANCHOR, ANCHOR_MASKS, 257, ["X_1"])
+            joint_covariance(ANCHOR, ANCHOR_MASKS, 257)
 
     def test_label_validation(self):
-        with pytest.raises(ValueError):
-            joint_covariance(ANCHOR, ANCHOR_MASKS, 2, ["X_0"])  # X starts at 1
-        with pytest.raises(ValueError):
-            joint_covariance(ANCHOR, ANCHOR_MASKS, 2, ["U_2"])  # U stops at T-1
-        with pytest.raises(ValueError):
-            joint_covariance(ANCHOR, ANCHOR_MASKS, 2, ["Z_1"])
+        # U_t = k*Y_t is not offered; X and Xhat start at 1; Y_3 is past T = 2;
+        # "²" is a digit to str.isdigit, yet int("²") raises a bare ValueError
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 2)
+        for label in ("U_1", "X_0", "Xhat_0", "Y_3", "Z_1", "X_", "X_-1", "X_²"):
+            with pytest.raises(ValueError, match=r"expected one of Y_0\.\.Y_2, X_1\.\.X_2 and Xhat_1"):
+                jc.index(label)
 
 
 class TestExactMi:
     def test_one_step_anchor(self):
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1, ["X_1", "Y_0", "Y_1"])
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1)
         assert exact_mi(jc, ["X_1"], ["Y_0", "Y_1"]) == pytest.approx(LN2, abs=1e-12)
 
     def test_one_step_estimate(self):
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1, ["X_1", "Xhat_1"])
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1)
         assert exact_mi(jc, ["X_1"], ["Xhat_1"]) == pytest.approx(LN2, abs=1e-12)
 
     def test_independent_blocks(self):
         # with a+k = 0 the states are driven by disjoint fresh noises
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 3, ["X_2", "X_3"])
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 3)
         assert exact_mi(jc, ["X_2"], ["X_3"]) == pytest.approx(0.0, abs=1e-12)
 
     def test_overlapping_blocks_rejected(self):
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 2, ["X_1", "X_2", "Y_1"])
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 2)
         with pytest.raises(ValueError):
             exact_mi(jc, ["X_1", "Y_1"], ["Y_1"])
 
     def test_singular_block_detected(self):
-        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 2, ["X_1", "Y_1", "U_1"])
-        with pytest.raises(SingularBlock):
-            exact_mi(jc, ["X_1"], ["Y_1", "U_1"])  # U_1 = k*Y_1 exactly
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 2)
+        with pytest.raises(SingularBlock, match=r"block B=\['Y_1', 'Y_1'\]"):
+            exact_mi(jc, ["X_1"], ["Y_1", "Y_1"])  # a repeated signal is singular
 
     def test_data_processing_inequality(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
             sys, masks = random_tuple(rng)
             T = int(rng.integers(2, 9))
-            x = [f"X_{t}" for t in range(1, T + 1)]
-            y = [f"Y_{t}" for t in range(T + 1)]
-            xh = [f"Xhat_{t}" for t in range(1, T + 1)]
-            jc = joint_covariance(sys, masks, T, x + y + xh)
+            x, y, xh = (labels_of(kind, T) for kind in ("X", "Y", "Xhat"))
+            jc = joint_covariance(sys, masks, T)
             assert exact_mi(jc, x, xh) <= exact_mi(jc, x, y) + 1e-9
 
 
@@ -141,8 +148,7 @@ class TestChol:
         for _ in range(10):
             sys, masks = random_tuple(rng)
             T = int(rng.integers(1, 21))
-            labels = [f"Y_{t}" for t in range(T + 1)] + [f"X_{t}" for t in range(1, T + 1)]
-            cov = joint_covariance(sys, masks, T, labels).cov
+            cov = block(joint_covariance(sys, masks, T), labels_of("Y", T) + labels_of("X", T))
             L = oracle._chol(cov, "test")
             ref = column_cholesky(cov)
             assert np.allclose(L, ref, rtol=1e-12, atol=1e-12 * math.sqrt(cov.diagonal().max()))
@@ -159,14 +165,14 @@ class TestChol:
 
 class TestDirectedInfo:
     def test_one_step_anchor_measurement_target(self):
-        di = exact_directed_info(ANCHOR, ANCHOR_MASKS, 1, "Y")
+        di = exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 1), "Y")
         assert di.forward == pytest.approx(0.5 * LN2, abs=1e-12)
         assert di.backward == pytest.approx(0.5 * LN2, abs=1e-12)
 
     def test_one_step_anchor_estimate_target(self):
         # the filter ignores Y_0, so the estimate target absorbs the
         # backward step into the forward one at t=1; the total is unchanged
-        di = exact_directed_info(ANCHOR, ANCHOR_MASKS, 1, "Xhat")
+        di = exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 1), "Xhat")
         assert di.forward == pytest.approx(LN2, abs=1e-12)
         assert di.backward == pytest.approx(0.0, abs=1e-12)
 
@@ -175,20 +181,18 @@ class TestDirectedInfo:
         for _ in range(6):
             sys, masks = random_tuple(rng)
             T = int(rng.integers(1, 8))
-            x = [f"X_{t}" for t in range(1, T + 1)]
-            for target, z in (("Y", [f"Y_{t}" for t in range(T + 1)]),
-                              ("Xhat", [f"Xhat_{t}" for t in range(1, T + 1)])):
-                di = exact_directed_info(sys, masks, T, target)
-                jc = joint_covariance(sys, masks, T, x + z)
+            jc = joint_covariance(sys, masks, T)
+            for target in ("Y", "Xhat"):
+                di = exact_directed_info(jc, target)
                 assert di.forward + di.backward == pytest.approx(
-                    exact_mi(jc, x, z), abs=1e-9)
+                    exact_mi(jc, labels_of("X", T), labels_of(target, T)), abs=1e-9)
 
     def test_forward_terms_match_closed_form(self):
         rng = np.random.default_rng(29)
         for _ in range(5):
             sys, masks = random_tuple(rng)
             T = int(rng.integers(1, 10))
-            di = exact_directed_info(sys, masks, T, "Y")
+            di = exact_directed_info(joint_covariance(sys, masks, T), "Y")
             fh = finite_horizon_info(sys, masks, T)
             assert np.allclose(di.forward_terms, fh.forward_terms, atol=1e-9)
             per_step = fh.backward_sum / T
@@ -196,11 +200,11 @@ class TestDirectedInfo:
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):
-            exact_directed_info(ANCHOR, ANCHOR_MASKS, 2, "U")
+            exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 2), "U")
 
     def test_horizon_cap(self):
         with pytest.raises(HorizonTooLarge):
-            exact_directed_info(ANCHOR, ANCHOR_MASKS, 257, "Y")
+            exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 257), "Y")
 
     @pytest.mark.parametrize("target", ["Y", "Xhat"])
     @pytest.mark.parametrize("horizon", [1, 5, 40])
@@ -213,13 +217,28 @@ class TestDirectedInfo:
             return chol(mat, block)
 
         monkeypatch.setattr(oracle, "_chol", counting)
-        exact_directed_info(ANCHOR, ANCHOR_MASKS, horizon, target)
+        exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, horizon), target)
         assert len(blocks) == 3
+
+    def test_shares_its_factorizations_with_exact_mi(self, monkeypatch):
+        # Y^T and X^T come from the cache; only the block [X Y] is new
+        blocks = []
+        chol = oracle._chol
+
+        def counting(mat, block):
+            blocks.append(block)
+            return chol(mat, block)
+
+        monkeypatch.setattr(oracle, "_chol", counting)
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 5)
+        exact_directed_info(jc, "Y")
+        exact_mi(jc, labels_of("X", 5), labels_of("Y", 5))
+        assert len(blocks) == 4
 
     def test_long_horizon_terms_reach_the_rates(self):
         # a = 1, k = -1 is stable; by T = 200 the prediction variance has
         # settled, so the last forward term is the steady-state uplink rate
-        di = exact_directed_info(ANCHOR, ANCHOR_MASKS, 200, "Y")
+        di = exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 200), "Y")
         rates = mi_rate(ANCHOR, ANCHOR_MASKS)
         assert di.forward_terms[-1] == pytest.approx(rates.uplink, abs=1e-12)
         assert np.allclose(di.backward_terms, rates.downlink, rtol=0, atol=1e-12)
@@ -284,6 +303,14 @@ class TestConsistencyReport:
         monkeypatch.setattr(oracle, "_chol", counting)
         consistency_report(ANCHOR, ANCHOR_MASKS, horizon)
         assert len(blocks) == factorizations
+
+    @pytest.mark.parametrize("horizon", [1, 5, 40])
+    def test_mutual_information_rows_are_exact_mi(self, horizon):
+        report = {c.name: c for c in consistency_report(ANCHOR, ANCHOR_MASKS, horizon)}
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, horizon)
+        x = labels_of("X", horizon)
+        assert exact_mi(jc, x, labels_of("Y", horizon)) == report["conservation_measurement"].lhs
+        assert exact_mi(jc, x, labels_of("Xhat", horizon)) == report["conservation_estimate"].lhs
 
     def test_stable_loops_pass_at_the_cap(self):
         for a in (0.5, 1.0, 1.5):
@@ -384,8 +411,8 @@ def test_two_step_deficit_matches_fifty_digit_arithmetic():
 
 
 @pytest.mark.parametrize("call", [
-    lambda T: joint_covariance(ANCHOR, ANCHOR_MASKS, T, ["X_1"]),
-    lambda T: exact_directed_info(ANCHOR, ANCHOR_MASKS, T, "Y"),
+    lambda T: joint_covariance(ANCHOR, ANCHOR_MASKS, T),
+    lambda T: exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, T), "Y"),
     lambda T: consistency_report(ANCHOR, ANCHOR_MASKS, T),
 ], ids=["joint_covariance", "exact_directed_info", "consistency_report"])
 @pytest.mark.parametrize("horizon", [0, -1])
