@@ -12,14 +12,14 @@ import numpy as np
 from privmask import (
     SystemParams,
     masks_from_nnr,
-    optimal_nnr,
     robustness_sweep,
     tradeoff_curve,
 )
 
 SYS = SystemParams(a=1.0, k=-1.0, w=0.05, q=1.0, r=1.0)
 
-report = optimal_nnr(SYS.a, SYS.k)
+# one quartic solve gives the optimum and the trade-off below it
+report = tradeoff_curve(SYS, [0.0, 0.5, 1.0, 2.0, 10.0])
 print(f"plant: a={SYS.a}, k={SYS.k}, w={SYS.w}, cost weights q={SYS.q}, r={SYS.r}")
 print(f"optimal ratio alpha* = {report.alpha_star:.6f} "
       f"(quartic residual {report.residual:.1e})")
@@ -29,7 +29,7 @@ print(f"pure-privacy design at m=0: n = {masks.n:.5f}\n")
 
 print("privacy/cost trade-off (weight lambda on the cost):")
 print(f"{'lambda':>7} {'alpha':>9} {'rate':>9} {'cost':>9} {'objective':>10}")
-for pt in tradeoff_curve(SYS, [0.0, 0.5, 1.0, 2.0, 10.0]):
+for pt in report.tradeoff:
     print(f"{pt.lam:7.1f} {pt.alpha:9.4f} {pt.mi:9.4f} {pt.cost:9.4f} {pt.objective:10.4f}")
 print("heavier cost weights buy cheaper control with a larger privacy loss;\n"
       "alpha never exceeds alpha*, where both terms would grow.\n")

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .oracle import (
     ConsistencyCheck,
-    DirectedInformation,
     JointCovariance,
     consistency_report,
     exact_directed_info,
@@ -56,7 +55,7 @@ from .params import (
     require_stable,
 )
 from .rates import (
-    FiniteHorizonInfo,
+    DirectedInformation,
     PrivacyRates,
     control_cost_rate,
     control_cost_rate_from_nnr,
@@ -81,11 +80,11 @@ __all__ = [
     "SystemParams", "MaskParams", "StabilityCheck", "closed_loop_stable", "require_stable",
     "solve_are", "prediction_covariances",
     "gain_schedule", "steady_state_second_moment",
-    "PrivacyRates", "FiniteHorizonInfo", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
+    "PrivacyRates", "DirectedInformation", "mi_rate", "mi_rate_from_nnr", "mi_rate_from_nnr_alt",
     "mi_rate_from_nnr_derivative", "nnr_prediction_ratio", "control_cost_rate",
     "control_cost_rate_from_nnr", "control_cost_rate_from_nnr_derivative",
     "finite_horizon_info",
-    "JointCovariance", "DirectedInformation", "ConsistencyCheck",
+    "JointCovariance", "ConsistencyCheck",
     "joint_covariance", "exact_mi", "exact_directed_info", "consistency_report",
     "TrajectoryBatch", "simulate", "simulate_moments", "empirical_cost",
     "empirical_prediction_error",

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .design import boundary_diagnostics, masks_from_nnr, optimal_nnr, tradeoff_curve
+from .design import boundary_diagnostics, masks_from_nnr, tradeoff_curve
 from .errors import NonPositiveCount, PrivmaskError
 from .oracle import CHECK_TOL, consistency_report
 from .params import MaskParams, SystemParams
@@ -341,9 +341,7 @@ def cmd_alpha_sweep(cfg: dict) -> int:
 
 
 def cmd_design(cfg: dict) -> int:
-    sysp = _system(cfg)  # validates every parameter before the quartic reads a and k
-    report = optimal_nnr(sysp.a, sysp.k)
-    points = tradeoff_curve(sysp, cfg["lambda"])
+    report = tradeoff_curve(_system(cfg), cfg["lambda"])
     recommended = masks_from_nnr(report.alpha_star, cfg["w"], cfg["m"])
     if cfg["m"] == 0:
         _sys.stderr.write(
@@ -356,7 +354,7 @@ def cmd_design(cfg: dict) -> int:
         "tradeoff": [
             {"lambda": pt.lam, "alpha": pt.alpha, "mi_nats": pt.mi,
              "cost": pt.cost, "objective": pt.objective, "at_boundary": pt.at_boundary}
-            for pt in points
+            for pt in report.tradeoff
         ],
         "recommended": {"m": recommended.m, "n": recommended.n},
     })

@@ -10,14 +10,15 @@ The quartic is negative at 0 and grows to +infinity with exactly one sign
 change on (0, inf), so bracketing plus bisection is globally safe,
 including when ``a^2 = 1`` collapses the leading coefficient and the
 quartic degenerates to a cubic.  Closed-form quartic solutions are
-numerically fragile exactly there, hence the bracketing route.
+numerically fragile exactly there, hence the bracketing route.  A design
+solves it once: ``tradeoff_curve`` fills in the report of ``optimal_nnr``.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,14 +48,16 @@ FIRST_ORDER_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Optimal noise-to-noise ratio and how well it was located.
+    """Optimal noise-to-noise ratio, how well it was located, and the trade-off below it.
 
-    ``residual`` is |quartic(alpha_star)| relative to the largest term.
+    ``residual`` is |quartic(alpha_star)| relative to the largest term.  ``tradeoff``
+    has a point per weight from ``tradeoff_curve``, none from ``optimal_nnr``.
     """
 
     alpha_star: float
     residual: float
     mi_min: float
+    tradeoff: tuple[TradeoffPoint, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,12 @@ class MaskDiagnosis(enum.Enum):
 
 
 def quartic_coefficients(a: float, k: float) -> tuple:
-    """(c4, c3, c1, c0) of the optimality quartic (the alpha^2 term is 0)."""
+    """(c4, c3, c1, c0) of the optimality quartic (the alpha^2 term is 0), all finite."""
     if k == 0:
         raise ZeroGain("feedback gain k must be nonzero")
     k2 = k * k
-    if not (a * a * a * a < math.inf and 0 < k2 * k2 < math.inf):  # NaN fails too
+    # NaN fails too; 1/k^4 overflows for |k| below about 8.6e-78
+    if not (a * a * a * a < math.inf and 0 < k2 * k2 < math.inf and 1.0 / (k2 * k2) < math.inf):
         raise PrivmaskError(
             f"the optimality quartic needs finite a^4 and k^4 > 0, got a={a!r}, k={k!r}")
     return ((a * a - 1.0) ** 2, 2.0 * (a * a + 1.0), -2.0 / k2, -1.0 / (k2 * k2))
@@ -130,20 +134,22 @@ def _bisect(f, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple:
 def optimal_nnr(a: float, k: float) -> DesignReport:
     """Unique positive root of the optimality quartic, by bracket + bisect.
 
-    The bracket starts at [0, 1] and moves up to [hi, 2 hi] until the quartic
-    turns positive; ``_bisect`` then narrows it to adjacent doubles.
+    The bracket moves up from [0, 1] to [hi, 2 hi] until the quartic turns positive, below
+    about 1e103 as c3 >= 2 and c1, c0 are finite; ``_bisect`` then narrows it to adjacent doubles.
     """
     coeffs = quartic_coefficients(a, k)
     lo, f_lo, hi = 0.0, coeffs[3], 1.0
     while (f_hi := _quartic(coeffs, hi)) <= 0:
         lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > 1e30:
-            raise NoConvergence("no sign change found while bracketing the quartic root")
     alpha, f_alpha = _bisect(lambda x: _quartic(coeffs, x), lo, hi, f_lo, f_hi)
 
-    scale = max(abs(coeffs[0]) * alpha**4, abs(coeffs[1]) * alpha**3,
-                abs(coeffs[2]) * alpha, abs(coeffs[3]))
-    residual = abs(f_alpha) / scale
+    c4, c3, c1, c0 = map(abs, coeffs)
+    # alpha**4 raises OverflowError from alpha = 2**256 on, where a product gives inf
+    if alpha < 2.0**256 and (scale := max(c4 * alpha**4, c3 * alpha**3, c1 * alpha, c0)) < math.inf:
+        residual = abs(f_alpha) / scale
+    else:  # alpha > 1: the terms over alpha^3 are finite
+        residual = (abs(f_alpha) / alpha / alpha / alpha
+                    / max(c4 * alpha, c3, c1 / alpha / alpha, c0 / alpha / alpha / alpha))
     rate = mi_rate_from_nnr(SystemParams(a=a, k=k, w=0.0), alpha)
     return DesignReport(alpha_star=alpha, residual=residual, mi_min=rate.total)
 
@@ -155,7 +161,7 @@ def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
     mask is mathematically optimal but maximizes sensitivity of the achieved
     ratio to errors in w (see ``robustness_sweep``).
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
     if w < 0 or m < 0:
         raise NegativeVariance(f"w and m must be >= 0, got w={w}, m={m}")
@@ -164,9 +170,10 @@ def masks_from_nnr(alpha: float, w: float, m: float = 0.0) -> MaskParams:
     return MaskParams(m=m, n=alpha * (m + w))
 
 
-def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
+def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> DesignReport:
     """Minimize privacy rate + lam * cost rate over the ratio alpha, for each weight.
 
+    Returns the report of ``optimal_nnr``, solved first, with the points in ``tradeoff``.
     Ratios above alpha* increase both terms and are dominated, so the
     search runs over [TRADEOFF_LO_FACTOR*alpha*, alpha*], from one quartic
     solve for all weights.  The cost is affine in alpha with slope c1 >= 0,
@@ -179,6 +186,7 @@ def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
     ``at_boundary``.  A zero ``lam*c1`` (lam = 0, q = r = 0, or a product
     that underflows) leaves the rate alone: alpha is alpha*.
     """
+    report = optimal_nnr(sys.a, sys.k)
     lam_list = list(lambdas)
     if not lam_list:
         raise EmptyInput("lambda list must be nonempty")
@@ -190,11 +198,11 @@ def tradeoff_curve(sys: SystemParams, lambdas: Sequence[float]) -> list:
         raise ZeroProcessNoise(
             "w = 0: the cost along the m = 0 line is unrealizable (no finite "
             "ratio keeps the privacy loss bounded as m vanishes)")
-    alpha_star = optimal_nnr(sys.a, sys.k).alpha_star
-    ends = (TRADEOFF_LO_FACTOR * alpha_star, alpha_star)
+    ends = (TRADEOFF_LO_FACTOR * report.alpha_star, report.alpha_star)
     rate_slopes = tuple(mi_rate_from_nnr_derivative(sys, x) for x in ends)
     c1 = control_cost_rate_from_nnr_derivative(sys)
-    return [_tradeoff_point(sys, lam, lam * c1, ends, rate_slopes) for lam in lam_list]
+    return replace(report, tradeoff=tuple(
+        _tradeoff_point(sys, lam, lam * c1, ends, rate_slopes) for lam in lam_list))
 
 
 def _tradeoff_point(sys: SystemParams, lam: float, cost_slope: float,
@@ -252,7 +260,7 @@ def robustness_sweep(sys: SystemParams, alpha_design: float,
     actually achieved under ``w_true``.  Larger m damps the deviation: the
     achieved ratio is ``alpha_design * (m + w_nom)/(m + w_true)``.
     """
-    if alpha_design <= 0:
+    if not alpha_design > 0:  # NaN fails too
         raise NonPositiveAlpha(f"alpha_design must be > 0, got {alpha_design}")
     m_vals = np.asarray(list(m_list), dtype=float)
     w_vals = np.asarray(list(w_true_list), dtype=float)

@@ -9,7 +9,7 @@ offered.  Mutual information then reduces to log-determinants, and
 directed information to squared Cholesky pivots: the pivot at a position
 of an ordering is the variance of that signal given everything before it.
 This module is the independent verification path for the closed forms in
-:mod:`privmask.rates`.
+:mod:`privmask.rates`, and ``exact_directed_info`` returns their ``DirectedInformation``.
 
 ``joint_covariance`` builds one Gram product, the covariance of Y, X and
 Xhat up to the horizon, and returns it as a ``JointCovariance``.  Every
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DegenerateMasks, HorizonTooLarge, HorizonTooShort, SingularBlock
 from .params import MaskParams, SystemParams
-from .rates import finite_horizon_info
+from .rates import DirectedInformation, finite_horizon_info
 from .riccati import gain_schedule
 
 HORIZON_CAP = 256
@@ -58,22 +58,6 @@ CHECK_TOL = 1e-9
 PIVOT_RTOL = 10 * np.finfo(float).eps / CHECK_TOL
 
 _KINDS = ("Y", "X", "Xhat")  # the order of the kinds in ``JointCovariance.cov``
-
-
-@dataclass(frozen=True)
-class DirectedInformation:
-    """Directed-information decomposition toward a target sequence.
-
-    ``forward`` sums the per-step flows from the state path into the target
-    (terms in ``forward_terms``); ``backward`` sums the flows from the
-    delayed target back into the state path.  ``forward + backward`` equals
-    the mutual information between the two paths exactly (chain rule).
-    """
-
-    forward: float
-    backward: float
-    forward_terms: np.ndarray
-    backward_terms: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -269,10 +253,10 @@ def consistency_report(
 
     * ``conservation_measurement``: I(X^T; Y^T) equals forward + backward
       directed information toward Y;
-    * ``forward_sum_closed_form`` / ``backward_sum_closed_form``: oracle
-      directed sums vs the closed-form finite-horizon sums;
-    * ``uplink_term_t``: per-step oracle forward terms vs
-      0.5*log(1 + S_t/n);
+    * ``forward_sum_closed_form`` / ``backward_sum_closed_form``: the
+      ``forward`` and ``backward`` of the oracle's ``DirectedInformation``
+      toward Y vs those of ``finite_horizon_info``;
+    * ``uplink_term_t``: their ``forward_terms``, 0.5*log(1 + S_t/n);
     * ``conservation_estimate``: chain-rule identity toward Xhat.
 
     Informational rows (reported, never gating): the estimate-target totals
@@ -302,8 +286,8 @@ def consistency_report(
 
     report = [
         check("conservation_measurement", mi_y, di_y.forward + di_y.backward),
-        check("forward_sum_closed_form", di_y.forward, fh.forward_sum),
-        check("backward_sum_closed_form", di_y.backward, fh.backward_sum),
+        check("forward_sum_closed_form", di_y.forward, fh.forward),
+        check("backward_sum_closed_form", di_y.backward, fh.backward),
     ]
     for t in range(1, horizon + 1):
         report.append(check(f"uplink_term_{t}", di_y.forward_terms[t - 1], fh.forward_terms[t - 1]))

@@ -5,7 +5,8 @@ and the downlink flow ``0.5*log(1 + k^2 n/(m+w))`` nats, where ``sigma`` is
 the steady prediction variance from :mod:`privmask.riccati`.  Both are
 computed by one kernel, ``_flow``.  Their sum, the total privacy-loss rate
 ``mi_rate``, depends on the masks only through the noise-to-noise ratio
-``alpha = n/(m+w)``.
+``alpha = n/(m+w)``.  ``finite_horizon_info`` gives their finite-horizon
+sums as the ``DirectedInformation`` the exact oracle returns too.
 
 Divergent regimes are reported in-band as IEEE infinities, never as
 exceptions, so parameter sweeps that touch boundary points complete without
@@ -36,18 +37,19 @@ class PrivacyRates:
 
 
 @dataclass(frozen=True)
-class FiniteHorizonInfo:
-    """Exact information sums over t = 1..horizon (nats, not per step).
+class DirectedInformation:
+    """Directed-information decomposition toward a target sequence, in nats.
 
-    ``forward_terms[t-1]`` is the uplink contribution of step t,
-    ``0.5*log(1 + S_t/n)``; the backward flow contributes a constant
-    ``0.5*log(1 + k^2 n/(m+w))`` per step.
+    ``forward`` sums the per-step flows from the state path into the target
+    (terms in ``forward_terms``), ``backward`` the flows from the delayed
+    target back into the state path (in ``backward_terms``).  Their sum is
+    the mutual information between the two paths exactly (chain rule).
     """
 
-    forward_sum: float
-    backward_sum: float
-    total: float
+    forward: float
+    backward: float
     forward_terms: np.ndarray
+    backward_terms: np.ndarray
 
 
 def _flow(num: float, den: float, scale: float = 1.0) -> float:
@@ -87,7 +89,7 @@ def nnr_prediction_ratio(a: float, alpha: float) -> float:
     This is sigma/n for any mask pair on the line n = alpha*(m+w); the
     uplink rate is 0.5*log(1 + s(alpha)).
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
     return solve_are(a, 1.0 / alpha, 1.0)
 
@@ -112,7 +114,7 @@ def mi_rate_from_nnr_derivative(sys: SystemParams, alpha: float) -> float:
     as -0.5/(alpha*hypot(alpha*b, 2 sqrt(alpha))): alpha*b = alpha*(a-1)(a+1) + 1 does not
     cancel near |a| = 1 and stays finite where 1/alpha overflows.
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
     k2 = sys.k * sys.k
     up = -0.5 / (alpha * math.hypot(alpha * ((sys.a - 1.0) * (sys.a + 1.0)) + 1.0, 2.0 * math.sqrt(alpha)))
@@ -158,7 +160,7 @@ def control_cost_rate_from_nnr(sys: SystemParams, alpha: float) -> float:
     This is the cost that remains after the downlink mask has been removed
     (its contribution to the cost is pure overhead for a fixed ratio).
     """
-    if alpha <= 0:
+    if not alpha > 0:  # NaN fails too
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
     margin = require_stable(sys)
     k2 = sys.k * sys.k
@@ -172,12 +174,12 @@ def control_cost_rate_from_nnr_derivative(sys: SystemParams) -> float:
     return (sys.q + sys.r * k2) * sys.w * k2 / margin + sys.r * k2 * sys.w
 
 
-def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> FiniteHorizonInfo:
-    """Exact information sums over a finite horizon.
+def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> DirectedInformation:
+    """Exact directed information toward Y over t = 1..horizon, in closed form.
 
-    Requires n > 0 and m + w > 0 (otherwise the sums are unbounded or the
-    per-step terms degenerate).  ``forward_sum/horizon`` converges to the
-    ``mi_rate`` uplink flow as the horizon grows.
+    Forward term t is ``0.5*log(1 + S_t/n)``, every backward term the downlink flow.
+    Requires n > 0 and m + w > 0 (otherwise the sums are unbounded or the per-step
+    terms degenerate).  ``forward/horizon`` converges to the ``mi_rate`` uplink flow.
     """
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
@@ -186,7 +188,6 @@ def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> F
         raise DegenerateMasks(f"finite sums need n > 0 and m + w > 0, got n={masks.n}, m+w={p}")
     s_pred = prediction_covariances(sys.a, p, masks.n, horizon)
     forward_terms = 0.5 * np.log1p(s_pred / masks.n)
-    forward = float(forward_terms.sum())
-    backward = horizon * _flow(masks.n, p, sys.k * sys.k)
-    return FiniteHorizonInfo(forward_sum=forward, backward_sum=backward,
-                             total=forward + backward, forward_terms=forward_terms)
+    down = _flow(masks.n, p, sys.k * sys.k)
+    return DirectedInformation(float(forward_terms.sum()), horizon * down,
+                               forward_terms, np.full(horizon, down))

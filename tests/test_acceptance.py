@@ -104,7 +104,8 @@ def test_02_conservation_of_information():
             x = [f"X_{t}" for t in range(1, T + 1)]
             y = [f"Y_{t}" for t in range(T + 1)]
             mi = exact_mi(joint_covariance(sys_, masks, T), x, y)
-            closed = finite_horizon_info(sys_, masks, T).total
+            fh = finite_horizon_info(sys_, masks, T)
+            closed = fh.forward + fh.backward
             worst = max(worst, abs(mi - closed))
     elapsed = time.perf_counter() - t0
     report(2, worst <= 1e-9 and elapsed < 10.0,
@@ -215,7 +216,7 @@ def test_08_divergence_toward_missing_masks():
 
 def test_09_tradeoff_dominance():
     astar = optimal_nnr(1.0, -1.0).alpha_star
-    points = tradeoff_curve(ANCHOR, [0.0, 0.5, 1.0, 2.0, 10.0])
+    points = tradeoff_curve(ANCHOR, [0.0, 0.5, 1.0, 2.0, 10.0]).tradeoff
     alphas = [pt.alpha for pt in points]
     ok = (all(al <= astar + 1e-9 for al in alphas)
           and all(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:]))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from privmask import cli
+from privmask import cli, design
 from privmask.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -339,6 +339,37 @@ class TestDesign:
         code, _, err = run(capsys, "design", "--a", "0", "--k", "0.5", "--lambda", "")
         assert code == 2
         assert json.loads(err)["error"] == "EmptyInput"
+
+    def test_quartic_is_solved_once(self, capsys, monkeypatch):
+        solves, bracketings = [], []
+        solve, coefficients = design.optimal_nnr, design.quartic_coefficients
+        monkeypatch.setattr(design, "optimal_nnr", lambda a, k: solves.append(a) or solve(a, k))
+        monkeypatch.setattr(design, "quartic_coefficients",
+                            lambda a, k: bracketings.append(a) or coefficients(a, k))
+        run_json(capsys, "design", "--a", "1", "--k", "-1", "--lambda", "0,1,10")
+        assert len(solves) == len(bracketings) == 1
+        assert not hasattr(cli, "optimal_nnr")
+
+    def test_quartic_refusal_precedes_the_weight_check(self, capsys):
+        code, out, err = run(capsys, "design", "--a", "2e77", "--k", "-2e77", "--lambda", "-1")
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "error": "PrivmaskError",
+            "message": "the optimality quartic needs finite a^4 and k^4 > 0, got a=2e+77, k=-2e+77"}
+
+    def test_optimal_ratio_past_1e30(self, capsys):
+        # alpha* is about 5e61, far above the first bracket [0, 1]
+        doc = run_json(capsys, "design", "--a", "-0.5478869477246051",
+                       "--k", "-2.3903594829625453e-62", "--w", "1.32", "--lambda", "0")
+        assert doc["tradeoff"][0]["alpha"] == doc["alpha_star"] > 1e30
+
+    def test_csv_format_is_refused(self, capsys):
+        code, out, err = run(capsys, "design", "--a", "1", "--k", "-1", "--format", "csv")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "PrivmaskError",
+            "message": "design emits a JSON report; --format csv is not available"}
 
 
 class TestSimulateCmd:

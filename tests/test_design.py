@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,16 +11,21 @@ from privmask import (
     IllDefinedNnr,
     MaskDiagnosis,
     MaskParams,
+    NegativeVariance,
     NegativeWeight,
     NonPositiveAlpha,
+    PrivmaskError,
     SystemParams,
     UnstableClosedLoop,
     ZeroGain,
     ZeroProcessNoise,
     boundary_diagnostics,
+    control_cost_rate_from_nnr,
     control_cost_rate_from_nnr_derivative,
     masks_from_nnr,
     mi_rate_from_nnr,
+    mi_rate_from_nnr_alt,
+    mi_rate_from_nnr_derivative,
     nnr_prediction_ratio,
     optimal_nnr,
     quartic_coefficients,
@@ -157,6 +163,28 @@ class TestOptimalNnr:
             assert report.residual <= 1e-10
             assert quartic(0.9, k, report.alpha_star) == pytest.approx(0.0, abs=1e-4)
 
+    @pytest.mark.parametrize("a", [0.0, 1.0, -1.0, 1 + 1e-12, 2.0])
+    @pytest.mark.parametrize("k", [1e-23, -1e-31, 1e-60, 8.7e-78, -8.7e-78])
+    def test_tiny_gains_down_to_the_last_finite_coefficients(self, a, k):
+        # alpha* reaches 3.5e102 at |a| = 1 and |k| = 8.7e-78, and alpha**4 overflows
+        # from 2**256 (1.2e77) on
+        report = optimal_nnr(a, k)
+        if a == 0:  # the quartic factors as (alpha^2 - 1/k^2)(alpha^2 + 2 alpha + 1/k^2)
+            assert report.alpha_star == pytest.approx(1 / abs(k), rel=1e-15)
+        coeffs = quartic_coefficients(a, k)
+        alpha = mpmath.mpf(report.alpha_star)
+        scale = max(abs(mpmath.mpf(c)) * alpha**p for c, p in zip(coeffs, (4, 3, 1, 0)))
+        f = abs(design._quartic(coeffs, report.alpha_star))
+        assert report.residual == pytest.approx(float(f / scale), rel=1e-12, abs=0)
+        assert report.residual <= 1e-14
+        assert 0 < report.mi_min < math.inf
+
+    def test_gain_whose_fourth_power_has_no_finite_inverse_is_refused(self):
+        with pytest.raises(PrivmaskError) as exc:
+            optimal_nnr(1.0, 8e-78)
+        assert str(exc.value) == (
+            "the optimality quartic needs finite a^4 and k^4 > 0, got a=1.0, k=8e-78")
+
     def test_minimizer_beats_dense_grid(self):
         rng = np.random.default_rng(37)
         grid = np.geomspace(1e-3, 1e3, 601)
@@ -182,6 +210,12 @@ class TestMasksFromNnr:
         masks = masks_from_nnr(2.0, 0.05, 0.05)
         assert masks.n / (masks.m + 0.05) == pytest.approx(2.0, rel=1e-15)
 
+    @pytest.mark.parametrize("w, m", [(-0.1, 0.0), (0.05, -0.1)])
+    def test_negative_variance_rejected(self, w, m):
+        with pytest.raises(NegativeVariance) as exc:
+            masks_from_nnr(1.0, w, m)
+        assert str(exc.value) == f"w and m must be >= 0, got w={w}, m={m}"
+
     def test_degenerate_inputs(self):
         with pytest.raises(IllDefinedNnr):
             masks_from_nnr(1.0, 0.0, 0.0)
@@ -190,28 +224,36 @@ class TestMasksFromNnr:
 
 
 class TestTradeoff:
+    def test_fills_in_the_report_of_optimal_nnr(self):
+        report = optimal_nnr(1.0, -1.0)
+        assert report.tradeoff == ()
+        full = tradeoff_curve(ANCHOR, [0.0, 1.0])
+        assert (full.alpha_star, full.residual, full.mi_min) == (
+            report.alpha_star, report.residual, report.mi_min)
+        assert [pt.lam for pt in full.tradeoff] == [0.0, 1.0]
+
     def test_zero_weight_reduces_to_optimal_nnr(self):
         report = optimal_nnr(1.0, -1.0)
-        (pt,) = tradeoff_curve(ANCHOR, [0.0])
+        (pt,) = tradeoff_curve(ANCHOR, [0.0]).tradeoff
         assert pt.alpha == report.alpha_star
         assert pt.mi == report.mi_min
         assert pt.objective == pt.mi
 
     def test_unit_weight_reference_point(self):
         # frozen against an independent dense-grid search of the objective
-        (pt,) = tradeoff_curve(ANCHOR, [1.0])
+        (pt,) = tradeoff_curve(ANCHOR, [1.0]).tradeoff
         assert pt.alpha == pytest.approx(0.5875289592, abs=1e-6)
         assert pt.objective == pytest.approx(1.0323804589, abs=1e-9)
         assert pt.cost == pytest.approx(0.1 + 0.15 * pt.alpha, rel=1e-12)
 
     def test_heavy_weight_pushes_alpha_down_but_positive(self):
-        (pt,) = tradeoff_curve(ANCHOR, [1000.0])
+        (pt,) = tradeoff_curve(ANCHOR, [1000.0]).tradeoff
         assert 0 < pt.alpha < 0.05
         assert not pt.at_boundary
 
     def test_matches_independent_grid_search(self):
         lam = 2.0
-        (pt,) = tradeoff_curve(ANCHOR, [lam])
+        (pt,) = tradeoff_curve(ANCHOR, [lam]).tradeoff
         grid = np.geomspace(1e-4, optimal_nnr(1.0, -1.0).alpha_star, 200_001)
         vals = [mi_rate_from_nnr(ANCHOR, g).total + lam * (0.1 + 0.15 * g) for g in grid]
         j = int(np.argmin(vals))
@@ -220,7 +262,7 @@ class TestTradeoff:
 
     def test_dominance_and_monotonicity(self):
         astar = optimal_nnr(1.0, -1.0).alpha_star
-        points = tradeoff_curve(ANCHOR, [0.0, 0.5, 1.0, 2.0, 10.0])
+        points = tradeoff_curve(ANCHOR, [0.0, 0.5, 1.0, 2.0, 10.0]).tradeoff
         alphas = [pt.alpha for pt in points]
         assert all(al <= astar + 1e-9 for al in alphas)
         assert all(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:]))
@@ -233,7 +275,7 @@ class TestTradeoff:
         # alpha* ~ 1e6 here; the refinement must cope with intervals whose
         # width target is below one ulp of the endpoints
         sys_ = SystemParams(a=0.0, k=1e-6, w=0.05, q=1, r=1)
-        (pt,) = tradeoff_curve(sys_, [1e-3])
+        (pt,) = tradeoff_curve(sys_, [1e-3]).tradeoff
         assert 0 < pt.alpha <= optimal_nnr(0.0, 1e-6).alpha_star + 1e-3
 
     def test_recovers_the_closed_form_front(self):
@@ -249,7 +291,7 @@ class TestTradeoff:
             s_floor = nnr_prediction_ratio(sys_.a, design.TRADEOFF_LO_FACTOR * astar)
             for u in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9, 0.98):
                 alpha, lam = front_point(sys_, s_star * (s_floor / s_star) ** u)
-                (pt,) = tradeoff_curve(sys_, [lam])
+                (pt,) = tradeoff_curve(sys_, [lam]).tradeoff
                 assert not pt.at_boundary, (sys_, lam)
                 assert pt.alpha == pytest.approx(alpha, rel=1e-12), (sys_, lam)
 
@@ -265,7 +307,7 @@ class TestTradeoff:
         offs = []
         for sys_ in systems:
             c1 = control_cost_rate_from_nnr_derivative(sys_)
-            for pt in tradeoff_curve(sys_, WORKLOAD_LAMBDAS):
+            for pt in tradeoff_curve(sys_, WORKLOAD_LAMBDAS).tradeoff:
                 if not pt.at_boundary:
                     offs.append(ulps_from_exact_bracket(sys_, pt.lam * c1, pt.alpha))
         assert max(offs) <= 2
@@ -295,7 +337,7 @@ class TestTradeoff:
         for sys_ in [ANCHOR] + [stable_system(rng) for _ in range(10)]:
             for calls in (derivative_at, quartic_at, riccati_calls):
                 calls.clear()
-            points = tradeoff_curve(sys_, (0.0,) + WORKLOAD_LAMBDAS)
+            points = tradeoff_curve(sys_, (0.0,) + WORKLOAD_LAMBDAS).tradeoff
             astar = points[0].alpha
             # the quartic is never taken at 0 (its value there is c0) nor twice anywhere
             assert 0.0 not in quartic_at and len(set(quartic_at)) == len(quartic_at)
@@ -320,7 +362,7 @@ class TestTradeoff:
             floor = design.TRADEOFF_LO_FACTOR * astar
             alpha, lam = front_point(sys_, 2.0 * nnr_prediction_ratio(sys_.a, floor))
             assert alpha < floor
-            (pt,) = tradeoff_curve(sys_, [lam])
+            (pt,) = tradeoff_curve(sys_, [lam]).tradeoff
             assert pt.at_boundary
             assert pt.alpha == floor
 
@@ -329,13 +371,13 @@ class TestTradeoff:
         free = SystemParams(a=1, k=-1, w=0.05, q=0, r=0)
         for sys_, lam in ((free, 1.0), (free, 1e4), (ANCHOR, 5e-324)):  # 5e-324 * c1 underflows
             assert lam * control_cost_rate_from_nnr_derivative(sys_) == 0
-            (pt,) = tradeoff_curve(sys_, [lam])
+            (pt,) = tradeoff_curve(sys_, [lam]).tradeoff
             assert pt.alpha == astar
             assert not pt.at_boundary
 
     def test_fields_are_plain_floats(self):
         for lam in (0.0,) + WORKLOAD_LAMBDAS:
-            (pt,) = tradeoff_curve(ANCHOR, [lam])
+            (pt,) = tradeoff_curve(ANCHOR, [lam]).tradeoff
             for field in ("alpha", "mi", "cost", "objective"):
                 assert type(getattr(pt, field)) is float, (lam, field)
 
@@ -366,6 +408,11 @@ class TestTradeoff:
 
 
 class TestBoundaryDiagnostics:
+    def test_negative_process_noise_rejected(self):
+        with pytest.raises(NegativeVariance) as exc:
+            boundary_diagnostics(MaskParams(m=0, n=0.1), -0.05)
+        assert str(exc.value) == "process-noise variance w=-0.05 < 0"
+
     def test_three_regimes(self):
         assert boundary_diagnostics(MaskParams(m=0.1, n=0), 0.0) is MaskDiagnosis.UPLINK_UNBOUNDED
         assert boundary_diagnostics(MaskParams(m=0, n=0.1), 0.0) is MaskDiagnosis.DOWNLINK_UNBOUNDED
@@ -410,3 +457,37 @@ class TestRobustnessSweep:
         sys = SystemParams(a=1, k=-1, w=0.05)
         with pytest.raises(IllDefinedNnr):
             robustness_sweep(sys, 1.0, m_list=[0.0], w_true_list=[0.0])
+
+    @pytest.mark.parametrize("alpha, m_list, w_list, error, message", [
+        (0.0, [0.0], [0.05], NonPositiveAlpha, "alpha_design must be > 0, got 0.0"),
+        (-1.0, [0.0], [0.05], NonPositiveAlpha, "alpha_design must be > 0, got -1.0"),
+        (1.0, [], [0.05], EmptyInput, "m_list and w_true_list must be nonempty"),
+        (1.0, [0.0], [], EmptyInput, "m_list and w_true_list must be nonempty"),
+        (1.0, [-0.1], [0.05], NegativeVariance, "masks and variances must be >= 0"),
+        (1.0, [0.0], [-0.05], NegativeVariance, "masks and variances must be >= 0"),
+    ])
+    def test_invalid_inputs_rejected(self, alpha, m_list, w_list, error, message):
+        with pytest.raises(error) as exc:
+            robustness_sweep(ANCHOR, alpha, m_list, w_list)
+        assert str(exc.value) == message
+
+
+# every function that takes a noise-to-noise ratio, and the name its message gives it
+ALPHA_TAKERS = {
+    "nnr_prediction_ratio": (lambda x: nnr_prediction_ratio(ANCHOR.a, x), "alpha"),
+    "mi_rate_from_nnr": (lambda x: mi_rate_from_nnr(ANCHOR, x), "alpha"),
+    "mi_rate_from_nnr_alt": (lambda x: mi_rate_from_nnr_alt(ANCHOR, x), "alpha"),
+    "mi_rate_from_nnr_derivative": (lambda x: mi_rate_from_nnr_derivative(ANCHOR, x), "alpha"),
+    "control_cost_rate_from_nnr": (lambda x: control_cost_rate_from_nnr(ANCHOR, x), "alpha"),
+    "masks_from_nnr": (lambda x: masks_from_nnr(x, 0.1), "alpha"),
+    "robustness_sweep": (lambda x: robustness_sweep(ANCHOR, x, [0.1], [0.1]), "alpha_design"),
+}
+
+
+@pytest.mark.parametrize("name", ALPHA_TAKERS)
+@pytest.mark.parametrize("alpha", [math.nan, 0.0, -0.0, -1.0, -math.inf])
+def test_alpha_guards_refuse_nan_and_non_positive_ratios(name, alpha):
+    call, label = ALPHA_TAKERS[name]
+    with pytest.raises(NonPositiveAlpha) as exc:
+        call(alpha)
+    assert str(exc.value) == f"{label} must be > 0, got {alpha}"

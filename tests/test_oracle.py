@@ -4,8 +4,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from privmask import oracle
+from privmask import oracle, rates
 from privmask import (
+    DegenerateMasks,
     HorizonTooLarge,
     HorizonTooShort,
     MaskParams,
@@ -195,8 +196,12 @@ class TestDirectedInfo:
             di = exact_directed_info(joint_covariance(sys, masks, T), "Y")
             fh = finite_horizon_info(sys, masks, T)
             assert np.allclose(di.forward_terms, fh.forward_terms, atol=1e-9)
-            per_step = fh.backward_sum / T
-            assert np.allclose(di.backward_terms, per_step, atol=1e-9)
+            assert np.allclose(di.backward_terms, fh.backward_terms, atol=1e-9)
+
+    def test_one_result_type_for_the_closed_form_and_the_oracle(self):
+        assert rates.DirectedInformation is oracle.DirectedInformation
+        di = exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 3), "Y")
+        assert type(di) is type(finite_horizon_info(ANCHOR, ANCHOR_MASKS, 3))
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):
@@ -311,6 +316,15 @@ class TestConsistencyReport:
         x = labels_of("X", horizon)
         assert exact_mi(jc, x, labels_of("Y", horizon)) == report["conservation_measurement"].lhs
         assert exact_mi(jc, x, labels_of("Xhat", horizon)) == report["conservation_estimate"].lhs
+
+    @pytest.mark.parametrize("sys_, masks", [
+        (ANCHOR, MaskParams(m=0.1, n=0.0)),
+        (SystemParams(a=1, k=-1, w=0.0), MaskParams(m=0.0, n=0.05)),
+    ], ids=["n=0", "m+w=0"])
+    def test_degenerate_masks_rejected(self, sys_, masks):
+        with pytest.raises(DegenerateMasks) as exc:
+            consistency_report(sys_, masks, 5)
+        assert str(exc.value) == "consistency_report needs n > 0 and m + w > 0"
 
     def test_stable_loops_pass_at_the_cap(self):
         for a in (0.5, 1.0, 1.5):

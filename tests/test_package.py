@@ -18,6 +18,12 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def test_one_directed_information_type():
+    assert "FiniteHorizonInfo" not in privmask.__all__
+    assert not hasattr(privmask, "FiniteHorizonInfo")
+    assert privmask.DirectedInformation.__module__ == "privmask.rates"
+
+
 def test_library_tour_names_are_exported():
     # the contents column of README's "Library tour" table, less parenthesized text
     readme = (ROOT / "README.md").read_text()

@@ -6,6 +6,7 @@ import pytest
 
 from privmask import (
     DegenerateMasks,
+    HorizonTooShort,
     MaskParams,
     NonPositiveAlpha,
     SystemParams,
@@ -77,7 +78,7 @@ class TestFlowOverflow:
         s = SystemParams(a=0, k=1e150, w=0)
         masks = MaskParams(m=1, n=1e10)
         assert mi_rate(s, masks).downlink == pytest.approx(exact, rel=1e-15)
-        assert finite_horizon_info(s, masks, 3).backward_sum == pytest.approx(3 * exact, rel=1e-15)
+        assert finite_horizon_info(s, masks, 3).backward == pytest.approx(3 * exact, rel=1e-15)
 
     def test_downlink_whose_signal_overflows_over_a_large_denominator(self):
         # k^2 n = 2e308 overflows, but k^2 n/(m+w) is only 4; the flow is 0.5*log 5.
@@ -86,7 +87,7 @@ class TestFlowOverflow:
         s = SystemParams(a=0, k=1e154, w=0)
         masks = MaskParams(m=5e307, n=2)
         assert mi_rate(s, masks).downlink == pytest.approx(exact, rel=1e-13, abs=0)
-        assert finite_horizon_info(s, masks, 3).backward_sum == pytest.approx(3 * exact, rel=1e-13, abs=0)
+        assert finite_horizon_info(s, masks, 3).backward == pytest.approx(3 * exact, rel=1e-13, abs=0)
 
     def test_nnr_downlink_whose_signal_overflows(self):
         # k^2 alpha = 1e320; the flow is 368.4 nats
@@ -273,25 +274,33 @@ class TestCostRate:
 class TestFiniteHorizon:
     def test_one_step_splits_evenly_at_anchor(self):
         fh = finite_horizon_info(ANCHOR, ANCHOR_MASKS, 1)
-        assert fh.forward_sum == pytest.approx(0.5 * math.log(2), abs=1e-12)
-        assert fh.backward_sum == pytest.approx(0.5 * math.log(2), abs=1e-12)
-        assert fh.total == pytest.approx(math.log(2), abs=1e-12)
+        assert fh.forward == pytest.approx(0.5 * math.log(2), abs=1e-12)
+        assert fh.backward == pytest.approx(0.5 * math.log(2), abs=1e-12)
+        assert fh.forward + fh.backward == pytest.approx(math.log(2), abs=1e-12)
 
     def test_two_steps(self):
         fh = finite_horizon_info(ANCHOR, ANCHOR_MASKS, 2)
         # S_2 = a^2*Sigma_1 + p = 0.075, so the step-2 term is 0.5*ln(2.5)
         assert fh.forward_terms[1] == pytest.approx(0.5 * math.log(2.5), abs=1e-12)
-        assert fh.forward_sum == pytest.approx(0.8047189562170503, abs=1e-12)
+        assert fh.forward == pytest.approx(0.8047189562170503, abs=1e-12)
 
     def test_cesaro_limit_is_uplink_rate(self):
         fh = finite_horizon_info(ANCHOR, ANCHOR_MASKS, 400)
         uplink = mi_rate(ANCHOR, ANCHOR_MASKS).uplink
-        assert fh.forward_sum / 400 == pytest.approx(uplink, abs=1e-3)
+        assert fh.forward / 400 == pytest.approx(uplink, abs=1e-3)
         assert fh.forward_terms[-1] == pytest.approx(uplink, abs=1e-12)
 
     def test_conservation_by_construction(self):
         fh = finite_horizon_info(ANCHOR, ANCHOR_MASKS, 7)
-        assert fh.total == fh.forward_sum + fh.backward_sum
+        assert fh.forward == float(fh.forward_terms.sum())
+        assert fh.backward == 7 * fh.backward_terms[0]
+        assert (fh.backward_terms == mi_rate(ANCHOR, ANCHOR_MASKS).downlink).all()
+
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_short_horizon_rejected(self, horizon):
+        with pytest.raises(HorizonTooShort) as exc:
+            finite_horizon_info(ANCHOR, ANCHOR_MASKS, horizon)
+        assert str(exc.value) == f"horizon must be >= 1, got {horizon}"
 
     def test_degenerate_masks_rejected(self):
         with pytest.raises(DegenerateMasks):

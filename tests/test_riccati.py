@@ -209,6 +209,12 @@ class TestGainSchedule:
         for g, w in zip(got, want):  # bytes compare the sign of zero too
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("p, n", [(-1.0, 0.1), (0.1, -1.0)])
+    def test_negative_variance_rejected(self, p, n):
+        with pytest.raises(NegativeVariance) as exc:
+            gain_schedule(0.9, p, n, 5)
+        assert str(exc.value) == f"p and n must be >= 0, got p={p}, n={n}"
+
     def test_never_settling_schedule_has_no_repeat(self, monkeypatch):
         steps = []
         monkeypatch.setattr(riccati, "_gain", lambda s, n: steps.append(s) or _gain(s, n))

@@ -218,6 +218,9 @@ class TestBlockBoundaries:
     def test_guards(self):
         with pytest.raises(NonPositiveCount):
             simulate(ANCHOR, ANCHOR_MASKS, 10, 0, seed=1)
+        with pytest.raises(HorizonTooShort) as exc:
+            simulate(ANCHOR, ANCHOR_MASKS, 0, 2, seed=1)
+        assert str(exc.value) == "horizon must be >= 1, got 0"
         with pytest.raises(NonPositiveCount):
             simulate_moments(ANCHOR, ANCHOR_MASKS, 2000, 0, 1)
         with pytest.raises(HorizonTooShort):
