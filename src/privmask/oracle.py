@@ -12,8 +12,9 @@ This module is the independent verification path for the closed forms in
 :mod:`privmask.rates`, and ``exact_directed_info`` returns their ``DirectedInformation``.
 
 ``joint_covariance`` builds one Gram product, the covariance of Y, X and
-Xhat up to the horizon, and returns it as a ``JointCovariance``.  Every
-factorization gathers its block from that covariance with ``np.ix_``, and
+Xhat up to the horizon, and returns it as a ``JointCovariance``.  A
+factorization reads a contiguous ordering (a ``span``) as a slice view of
+that covariance and gathers any other with ``take`` along both axes, and
 the object keeps the squared pivots of each distinct ordering, so
 ``exact_mi``, ``exact_directed_info`` and ``consistency_report`` share one
 factorization per ordering.  ``consistency_report`` factors seven: X, Y,
@@ -117,7 +118,12 @@ class JointCovariance:
         # to 2000 freed 20-element tuples (X^T at T = 20) and never reuses them
         key = ix.tobytes()
         if key not in self._pivots:
-            self._pivots[key] = _chol(self.cov[np.ix_(ix, ix)], block).diagonal() ** 2
+            # a range the slice reads exactly as take would, out-of-range positions excepted
+            if isinstance(idx, range) and idx.step == 1 and 0 <= idx.start and idx.stop <= len(self.cov):
+                block_cov = self.cov[idx.start:idx.stop, idx.start:idx.stop]
+            else:
+                block_cov = self.cov.take(ix, 0).take(ix, 1)
+            self._pivots[key] = _chol(block_cov, block).diagonal() ** 2
         return self._pivots[key]
 
 
@@ -131,20 +137,21 @@ def _chol(mat: np.ndarray, block: str) -> np.ndarray:
     """
     a = np.asarray(mat, dtype=float)
     top = max(a.diagonal().max(), 0.0)
-    problem = (f"covariance block {block} is singular or too ill-conditioned "
-               f"for the {CHECK_TOL:g} checks")
     try:
         L = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise SingularBlock(
-            f"{problem}: not positive definite (largest diagonal {top:.3e})") from None
+        raise _singular(block, f": not positive definite (largest diagonal {top:.3e})") from None
     pivots = L.diagonal() ** 2
-    small = np.flatnonzero(~(pivots > PIVOT_RTOL * top))  # a NaN pivot is too small too
-    if small.size:
-        j = small[0]
-        raise SingularBlock(
-            f"{problem} at pivot {j} ({pivots[j]:.3e}, largest diagonal {top:.3e})")
+    large = pivots > PIVOT_RTOL * top  # a NaN pivot is too small too
+    if not large.all():
+        j = int(large.argmin())
+        raise _singular(block, f" at pivot {j} ({pivots[j]:.3e}, largest diagonal {top:.3e})")
     return L
+
+
+def _singular(block: str, detail: str) -> SingularBlock:
+    return SingularBlock(f"covariance block {block} is singular or too ill-conditioned "
+                         f"for the {CHECK_TOL:g} checks{detail}")
 
 
 def _check_horizon(horizon: int) -> None:

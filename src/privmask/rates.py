@@ -131,8 +131,14 @@ def mi_rate_from_nnr_alt(sys: SystemParams, alpha: float) -> float:
     only; all design routines optimize ``mi_rate_from_nnr``, whose uplink
     term is the one the finite-horizon sums and the exact oracle confirm.
     Where s(alpha) overflows, log s is taken as log solve_are(a, 1, alpha) - log alpha.
+    At alpha = inf, where the uplink term is -inf for |a| <= 1 and the downlink term +inf,
+    the total is its limit: s*alpha tends to 1/(1 - a^2), so log|k| - 0.5*log(1 - a^2),
+    and inf from |a| = 1 on.
     """
     s = nnr_prediction_ratio(sys.a, alpha)
+    if s == 0:  # alpha = inf and |a| <= 1
+        b = (1.0 - sys.a) * (1.0 + sys.a)
+        return math.log(abs(sys.k)) - 0.5 * math.log(b) if b > 0 else math.inf
     log_s = math.log(s) if s < math.inf else math.log(solve_are(sys.a, 1.0, alpha)) - math.log(alpha)
     return 0.5 * log_s + _flow(alpha, 1.0, sys.k * sys.k)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privmask import design, rates
 from privmask import (
@@ -65,16 +66,134 @@ def front_point(sys_, s):
     return alpha, -dmi / c1
 
 
-class TestBisect:
+def bisection_evaluations(f, lo, hi):
+    """Evaluations plain bisection makes on [lo, hi] until its ends are adjacent doubles."""
+    count, mid = 0, 0.5 * (lo + hi)
+    while lo < mid < hi:
+        count += 1
+        if f(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return count
+
+
+def traced_root(f, lo, hi):
+    """``_bracketed_root`` on [lo, hi], checking each point it evaluates; (root, f, points).
+
+    Every point must lie strictly inside the bracket left by the points before it,
+    so none is evaluated twice and neither end at all.
+    """
+    points, bracket = [], [lo, hi]
+
+    def checked(x):
+        assert bracket[0] < x < bracket[1], (x, bracket)
+        points.append(x)
+        value = f(x)
+        bracket[0 if value <= 0 else 1] = x
+        return value
+
+    root, f_root = design._bracketed_root(checked, lo, hi, f(lo), f(hi))
+    assert root in bracket and math.nextafter(bracket[0], math.inf) == bracket[1]
+    return root, f_root, points
+
+
+def hostile_functions(r, width):
+    """Functions with a sign change at r that defeat interpolation, by name."""
+    return {
+        "sign only": lambda x: -1.0 if x <= r else 1.0,
+        "infinite": lambda x: -math.inf if x <= r else math.inf,
+        "nan above": lambda x: -1.0 if x <= r else math.nan,
+        "nan near the root": lambda x: math.nan if r < x < r + 1e-3 * width else x - r,
+        "infinite off the root": lambda x: (x - r if abs(x - r) < 1e-6 * width
+                                            else math.copysign(math.inf, x - r)),
+        # flat through the root: the cube underflows to 0 within 1e-108 widths of it
+        "flat cube": lambda x: ((x - r) / width) ** 3,
+        "flat 21st power": lambda x: ((x - r) / width) ** 21,
+    }
+
+
+class TestBracketedRoot:
     def test_brackets_a_root_to_adjacent_doubles(self):
-        root, f_root = design._bisect(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
+        root, f_root = design._bracketed_root(lambda x: x * x - 2.0, 0.0, 2.0, -2.0, 2.0)
         assert abs(root - math.sqrt(2.0)) <= np.spacing(math.sqrt(2.0))
         assert f_root == root * root - 2.0
 
     def test_terminates_on_nan(self):
-        assert 0.0 <= design._bisect(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)[0] <= 1.0
-        assert 1.0 <= design._bisect(lambda x: math.nan if x > 1.5 else -1.0,
-                                     1.0, 2.0, -1.0, math.nan)[0] <= 2.0
+        assert 0.0 <= design._bracketed_root(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)[0] <= 1.0
+        assert 1.0 <= design._bracketed_root(lambda x: math.nan if x > 1.5 else -1.0,
+                                             1.0, 2.0, -1.0, math.nan)[0] <= 2.0
+
+    def test_underflowing_denominators_fall_back_to_the_midpoint(self):
+        # values near 1e-170 have differences whose products fall below the smallest
+        # double: the interpolation divides by 0.0 unless it bisects instead
+        f = lambda x: 1e-170 * ((x - 0.3) + (x - 0.3) ** 3)
+        root, _, points = traced_root(f, 0.0, 1.0)
+        assert abs(root - 0.3) <= math.ulp(0.3)
+        assert len(points) == bisection_evaluations(f, 0.0, 1.0)
+
+    def test_design_roots_take_few_evaluations(self, monkeypatch):
+        # plants as the certify workload draws them and near |a| = 1; bisection to
+        # adjacent doubles took 54.5 evaluations per root on these plants
+        counts = []
+        solve = design._bracketed_root
+
+        def counting(f, *bracket):
+            counts.append(0)
+
+            def g(x):
+                counts[-1] += 1
+                return f(x)
+
+            return solve(g, *bracket)
+
+        monkeypatch.setattr(design, "_bracketed_root", counting)
+        rng = np.random.default_rng(2612)
+        systems = [stable_system(rng) for _ in range(200)]
+        systems += [near_unit_system(rng, small_gain=i % 2 == 1) for i in range(100)]
+        quartic, tradeoff = [], []
+        for sys_ in systems:
+            counts.clear()
+            tradeoff_curve(sys_, WORKLOAD_LAMBDAS)
+            quartic.append(counts[0])
+            tradeoff += counts[1:]
+        assert len(tradeoff) >= 2000
+        assert sum(quartic) / len(quartic) <= 15
+        assert sum(tradeoff) / len(tradeoff) <= 15
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (1e-3, 1e3), (-7.5, 2.0), (3.0, 3.0 + 1e-9),
+                                        (0.0, 1e103)])
+    def test_at_most_twice_the_evaluations_of_bisection(self, lo, hi):
+        rng = np.random.default_rng(7)
+        roots = [lo + (hi - lo) * u
+                 for u in (rng.uniform(size=20) ** rng.choice([1, 4, 40], 20)).tolist()]
+        for r in roots:
+            for name, f in hostile_functions(r, hi - lo).items():
+                if not f(lo) <= 0 < f(hi) and not (f(lo) <= 0 and math.isnan(f(hi))):
+                    continue
+                _, _, points = traced_root(f, lo, hi)
+                assert len(points) <= 2 * bisection_evaluations(f, lo, hi), (name, r)
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.floats(-1e6, 1e6), left=st.floats(1e-12, 1e6), right=st.floats(1e-12, 1e6),
+           weights=st.lists(st.floats(0.0, 1e3), min_size=4, max_size=4).filter(any))
+    def test_monotone_functions_end_on_an_adjacent_bracket(self, r, left, right, weights):
+        lo, hi = r - left, r + right
+        c1, c3, c_atan, c_sign = weights
+
+        def f(x):
+            d = x - r
+            return c1 * d + c3 * d * d * d + c_atan * math.atan(d) + c_sign * (d > 0) - c_sign * 0.5
+
+        if not f(lo) <= 0 < f(hi):
+            return
+        root, f_root, points = traced_root(f, lo, hi)
+        assert f_root == f(root)
+        below, above = ((root, math.nextafter(root, math.inf)) if f_root <= 0
+                        else (math.nextafter(root, -math.inf), root))
+        assert f(below) <= 0 < f(above)
+        assert abs(f_root) <= abs(f(above if root == below else below))
 
 
 def near_unit_system(rng, small_gain):
@@ -180,10 +299,20 @@ class TestOptimalNnr:
         assert 0 < report.mi_min < math.inf
 
     def test_gain_whose_fourth_power_has_no_finite_inverse_is_refused(self):
+        # k^4 is positive from |k| of about 1.5e-81 on, and 1/k^4 finite from about 8.6e-78
+        for k in (8e-78, -8e-78, 1e-79, 2e-81):
+            with pytest.raises(PrivmaskError) as exc:
+                optimal_nnr(1.0, k)
+            assert str(exc.value) == f"the optimality quartic needs a finite 1/k^4, got k={k!r}"
+        assert optimal_nnr(1.0, 9e-78).alpha_star > 0
+
+    @pytest.mark.parametrize("a, k", [(1.0, 1e-81), (2e77, -2e77), (1.0, 1e155), (math.nan, 1.0),
+                                      (1.0, math.nan)])
+    def test_fourth_powers_out_of_range_keep_their_message(self, a, k):
         with pytest.raises(PrivmaskError) as exc:
-            optimal_nnr(1.0, 8e-78)
+            optimal_nnr(a, k)
         assert str(exc.value) == (
-            "the optimality quartic needs finite a^4 and k^4 > 0, got a=1.0, k=8e-78")
+            f"the optimality quartic needs finite a^4 and k^4 > 0, got a={a!r}, k={k!r}")
 
     def test_minimizer_beats_dense_grid(self):
         rng = np.random.default_rng(37)

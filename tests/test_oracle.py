@@ -164,6 +164,51 @@ class TestChol:
             oracle._chol(np.array([[1.0, 2.0], [2.0, 1.0]]), "C")
 
 
+class TestPivots:
+    @pytest.mark.parametrize("horizon", [1, 5, 20, 64])
+    def test_blocks_are_the_gathered_covariance_to_the_bit(self, monkeypatch, horizon):
+        # spans are read as slice views and other orderings through take; their pivots
+        # must equal, bit for bit, those of the block gathered with np.ix_
+        asked = []
+        pivots = oracle.JointCovariance.pivots
+
+        def recording(jc, idx, block):
+            asked.append((jc, np.asarray(idx), block))
+            return pivots(jc, idx, block)
+
+        monkeypatch.setattr(oracle.JointCovariance, "pivots", recording)
+        rng = np.random.default_rng(2026)
+        for _ in range(5):
+            asked.clear()
+            consistency_report(*random_tuple(rng), horizon)
+            assert len({ix.tobytes() for _, ix, _ in asked}) == (6 if horizon == 1 else 7)
+            for jc, ix, block in asked:
+                expected = oracle._chol(jc.cov[np.ix_(ix, ix)], block).diagonal() ** 2
+                assert np.array_equal(pivots(jc, ix, block), expected), block
+
+    def test_a_range_and_a_list_share_one_factorization(self, monkeypatch):
+        blocks = []
+        chol = oracle._chol
+        monkeypatch.setattr(oracle, "_chol", lambda mat, block: blocks.append(block) or chol(mat, block))
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 5)
+        span = jc.span("X")
+        assert jc.pivots(span, "X^5") is jc.pivots(list(span), "X^5 again")
+        assert blocks == ["X^5"]
+
+    @pytest.mark.parametrize("mat, message", [
+        ([[1.0, 2.0], [2.0, 1.0]], "covariance block C is singular or too ill-conditioned for the "
+                                   "1e-09 checks: not positive definite (largest diagonal 1.000e+00)"),
+        ([[1.0, 0.0, 0.0], [0.0, 1e-9, 0.0], [0.0, 0.0, 1.0]],
+         "covariance block C is singular or too ill-conditioned for the 1e-09 checks at pivot 1 "
+         "(1.000e-09, largest diagonal 1.000e+00)"),
+    ], ids=["not positive definite", "small pivot"])
+    def test_singular_block_messages(self, mat, message):
+        jc = oracle.JointCovariance(1, np.array(mat))
+        with pytest.raises(SingularBlock) as exc:
+            jc.pivots(list(range(len(mat))), "C")
+        assert str(exc.value) == message
+
+
 class TestDirectedInfo:
     def test_one_step_anchor_measurement_target(self):
         di = exact_directed_info(joint_covariance(ANCHOR, ANCHOR_MASKS, 1), "Y")

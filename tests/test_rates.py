@@ -109,6 +109,23 @@ class TestFlowOverflow:
         assert mi_rate_from_nnr_alt(sys_, alpha) - rates.downlink == pytest.approx(
             float(0.5 * mpmath.log(s_exact)), rel=1e-15)
 
+    @pytest.mark.parametrize("a", [0.0, 0.5, -0.999, 1.0, -1.0, 1.0 + 2**-52, -1.5, 3.0])
+    @pytest.mark.parametrize("k", [-0.7, 3e-150])
+    def test_alt_total_at_an_infinite_ratio_is_its_limit(self, a, k):
+        # s(inf) is 0 for |a| <= 1, so the uplink term 0.5*log s is -inf against a downlink
+        # flow of +inf; for |a| < 1, s*alpha tends to 1/(1 - a^2), and the total to
+        # log|k| - 0.5*log(1 - a^2), while from |a| = 1 on it diverges
+        sys_ = SystemParams(a=a, k=k, w=0.05)
+        alt = mi_rate_from_nnr_alt(sys_, math.inf)
+        assert mi_rate_from_nnr(sys_, math.inf).total == math.inf
+        if abs(a) < 1:
+            limit = mpmath.log(abs(k)) - 0.5 * mpmath.log(1 - mpmath.mpf(a) ** 2)
+            assert alt == pytest.approx(float(limit), rel=1e-15)
+            if (alpha := 1e200 / (k * k)) < math.inf:  # the total nears its limit once k^2 alpha >> 1
+                assert mi_rate_from_nnr_alt(sys_, alpha) == pytest.approx(alt, rel=0, abs=1e-12)
+        else:
+            assert alt == math.inf
+
     def test_missing_mask_still_diverges(self):
         assert mi_rate(SystemParams(a=1, k=-1, w=1e-320), MaskParams(m=0, n=0)).uplink == math.inf
         # k^2 n underflows to 0, but the signal is there
