@@ -118,11 +118,13 @@ class JointCovariance:
         # to 2000 freed 20-element tuples (X^T at T = 20) and never reuses them
         key = ix.tobytes()
         if key not in self._pivots:
-            # a range the slice reads exactly as take would, out-of-range positions excepted
-            if isinstance(idx, range) and idx.step == 1 and 0 <= idx.start and idx.stop <= len(self.cov):
-                block_cov = self.cov[idx.start:idx.stop, idx.start:idx.stop]
+            cov = self.cov
+            # a contiguous range is a slice view; take gathers any other ordering
+            # and refuses positions out of bounds, which a slice would clip
+            if isinstance(idx, range) and idx.step == 1 and 0 <= idx.start and idx.stop <= len(cov):
+                block_cov = cov[idx.start:idx.stop, idx.start:idx.stop]
             else:
-                block_cov = self.cov.take(ix, 0).take(ix, 1)
+                block_cov = cov.take(ix, 0).take(ix, 1)
             self._pivots[key] = _chol(block_cov, block).diagonal() ** 2
         return self._pivots[key]
 

@@ -121,7 +121,8 @@ class TestBracketedRoot:
         assert f_root == root * root - 2.0
 
     def test_terminates_on_nan(self):
-        assert 0.0 <= design._bracketed_root(lambda x: math.nan, 0.0, 1.0, math.nan, math.nan)[0] <= 1.0
+        assert 0.0 <= design._bracketed_root(lambda x: math.nan, 0.0, 1.0,
+                                             math.nan, math.nan)[0] <= 1.0
         assert 1.0 <= design._bracketed_root(lambda x: math.nan if x > 1.5 else -1.0,
                                              1.0, 2.0, -1.0, math.nan)[0] <= 2.0
 

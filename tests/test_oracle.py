@@ -195,6 +195,12 @@ class TestPivots:
         assert jc.pivots(span, "X^5") is jc.pivots(list(span), "X^5 again")
         assert blocks == ["X^5"]
 
+    def test_a_range_past_the_covariance_is_refused(self):
+        # a slice would clip it to the covariance and cache that block under its positions
+        jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 2)
+        with pytest.raises(IndexError):
+            jc.pivots(range(len(jc.cov) + 1), "too long")
+
     @pytest.mark.parametrize("mat, message", [
         ([[1.0, 2.0], [2.0, 1.0]], "covariance block C is singular or too ill-conditioned for the "
                                    "1e-09 checks: not positive definite (largest diagonal 1.000e+00)"),
