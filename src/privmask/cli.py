@@ -22,8 +22,6 @@ import re
 import sys as _sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .design import boundary_diagnostics, masks_from_nnr, tradeoff_curve
 from .errors import NonPositiveCount, PrivmaskError
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"privmask {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in _COMMANDS.items():
+    for name, (_, help_text, _, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[shared], help=help_text)
     return parser
 
@@ -301,6 +299,8 @@ def cmd_analyze(cfg: dict) -> int:
 
 
 def cmd_grid(cfg: dict) -> int:
+    import numpy as np
+
     sysp = _system(cfg)
     m_lo, m_hi, m_count = cfg["m_range"]
     n_lo, n_hi, n_count = cfg["n_range"]
@@ -320,6 +320,8 @@ def cmd_grid(cfg: dict) -> int:
 
 
 def cmd_alpha_sweep(cfg: dict) -> int:
+    import numpy as np
+
     sysp = _system(cfg)
     if cfg["alpha"] is not None:
         alphas = np.array([cfg["alpha"]])
@@ -390,14 +392,15 @@ def cmd_verify(cfg: dict) -> int:
     return 0 if all(c.passed for c in report if not c.informational) else 1
 
 
-# each command's function, its help, and whether it emits a table (else a JSON report)
+# each command's function, its help, whether it emits a table (else a JSON report),
+# and whether it computes with numpy arrays (the others never import numpy)
 _COMMANDS = {
-    "analyze": (cmd_analyze, "closed-form rates and cost at one point", False),
-    "grid": (cmd_grid, "rate/cost surface over an (m, n) grid", True),
-    "alpha-sweep": (cmd_alpha_sweep, "rate as a function of the noise ratio", True),
-    "design": (cmd_design, "optimal ratio, trade-off curve, masks", False),
-    "simulate": (cmd_simulate, "Monte Carlo validation of cost and sigma", False),
-    "verify": (cmd_verify, "exact-oracle consistency checks", True),
+    "analyze": (cmd_analyze, "closed-form rates and cost at one point", False, False),
+    "grid": (cmd_grid, "rate/cost surface over an (m, n) grid", True, True),
+    "alpha-sweep": (cmd_alpha_sweep, "rate as a function of the noise ratio", True, True),
+    "design": (cmd_design, "optimal ratio, trade-off curve, masks", False, False),
+    "simulate": (cmd_simulate, "Monte Carlo validation of cost and sigma", False, True),
+    "verify": (cmd_verify, "exact-oracle consistency checks", True, True),
 }
 
 
@@ -405,9 +408,13 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(_join_negative_values(_sys.argv[1:] if argv is None else argv))
         cfg = load_config(args)
-        run, _, tabular = _COMMANDS[args.command]
+        run, _, tabular, arrays = _COMMANDS[args.command]
         if not tabular and cfg["format"] == "csv":
             raise PrivmaskError(f"{args.command} emits a JSON report; --format csv is not available")
+        if not arrays:
+            return run(cfg)
+        import numpy as np
+
         # overflow shows in-band as inf or as a typed error, never as numpy's warnings
         with np.errstate(all="ignore"):
             return run(cfg)

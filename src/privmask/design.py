@@ -25,9 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     EmptyInput,
@@ -47,6 +45,9 @@ from .rates import (
     mi_rate_from_nnr,
     mi_rate_from_nnr_derivative,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRADEOFF_LO_FACTOR = 1e-3
 FIRST_ORDER_TOL = 1e-8
@@ -303,6 +304,8 @@ def robustness_sweep(sys: SystemParams, alpha_design: float,
     actually achieved under ``w_true``.  Larger m damps the deviation: the
     achieved ratio is ``alpha_design * (m + w_nom)/(m + w_true)``.
     """
+    import numpy as np
+
     if not alpha_design > 0:  # NaN fails too
         raise NonPositiveAlpha(f"alpha_design must be > 0, got {alpha_design}")
     m_vals = np.asarray(list(m_list), dtype=float)

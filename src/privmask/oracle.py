@@ -41,22 +41,24 @@ as informational rows.
 
 from __future__ import annotations
 
+import sys as _sys
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateMasks, HorizonTooLarge, HorizonTooShort, SingularBlock
 from .params import MaskParams, SystemParams
 from .rates import DirectedInformation, finite_horizon_info
 from .riccati import gain_schedule
 
+if TYPE_CHECKING:
+    import numpy as np
+
 HORIZON_CAP = 256
 
 CHECK_TOL = 1e-9
 # rounding in a factorization grows like eps * (largest diagonal / pivot);
 # refuse a pivot once that could reach a tenth of CHECK_TOL
-PIVOT_RTOL = 10 * np.finfo(float).eps / CHECK_TOL
+PIVOT_RTOL = 10 * _sys.float_info.epsilon / CHECK_TOL
 
 _KINDS = ("Y", "X", "Xhat")  # the order of the kinds in ``JointCovariance.cov``
 
@@ -113,6 +115,8 @@ class JointCovariance:
 
         Pivot ``j`` is the variance of signal ``j`` given signals ``0..j-1``.
         """
+        import numpy as np
+
         ix = np.asarray(idx)
         # keyed by the bytes of the positions, not a tuple: CPython 3.11 parks up
         # to 2000 freed 20-element tuples (X^T at T = 20) and never reuses them
@@ -137,6 +141,8 @@ def _chol(mat: np.ndarray, block: str) -> np.ndarray:
     entry, instead of returning a factorization too imprecise for the
     CHECK_TOL comparisons.
     """
+    import numpy as np
+
     a = np.asarray(mat, dtype=float)
     top = max(a.diagonal().max(), 0.0)
     try:
@@ -167,25 +173,40 @@ def joint_covariance(sys: SystemParams, masks: MaskParams, horizon: int) -> Join
     """Exact joint covariance of Y_0..Y_T, X_0..X_T and Xhat_0..Xhat_T.
 
     One Gram product of the signals' coefficient rows over the noise basis
-    [N_0..N_T, M_0..M_{T-1}, W_1..W_T].
+    [N_0..N_T, M_0..M_{T-1}, W_1..W_T].  X_t = (a+k)*X_{t-1} + k*N_{t-1} +
+    M_{t-1} + W_t, so the X rows are lower-triangular Toeplitz in two
+    impulse responses, both run as Python floats with the operations of the
+    step-by-step recursion, a*r + k*r, and so with its bits: ``h`` to N_j
+    (h_0 = k) and ``g`` to M_j and W_{j+1} (g_0 = 1).  A Y row is its X row
+    plus N_t.  Only the Xhat rows, whose gain changes each step, recur.
     """
+    import numpy as np
+
     _check_horizon(horizon)
     T = horizon
+    a, k = sys.a, sys.k
     nb = (T + 1) + T + T
     var = np.concatenate([np.full(T + 1, masks.n), np.full(T, masks.m), np.full(T, sys.w)])
-    _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, T)
+    _, gains = gain_schedule(a, masks.m + sys.w, masks.n, T)
+
+    h, g = [k], [1.0]  # responses of X_{j+1+d} to N_j, and to M_j and W_{j+1}
+    for _ in range(T - 1):
+        h.append(a * h[-1] + k * h[-1])
+        g.append(a * g[-1] + k * g[-1])
+    # lag[i, j] = T-1 + i - j reads resp[i - j] from the zero-padded response, 0 where i < j
+    pad = np.zeros(T - 1)
+    lag = np.subtract.outer(np.arange(T - 1, 2 * T - 1), np.arange(T))
 
     rows = np.zeros((3 * (T + 1), nb))
     y, x, xh = rows.reshape(3, T + 1, nb)  # views: row t of each is kind_t
-    y[0, 0] = 1.0  # Y_0 = X_0 + N_0 = N_0
+    x[1:, :T] = np.concatenate([pad, h])[lag]
+    x[1:, T + 1 : 2 * T + 1] = x[1:, 2 * T + 1 :] = np.concatenate([pad, g])[lag]
+    y[1:] = x[1:]
+    diag = np.arange(T + 1)
+    y[diag, diag] = 1.0  # N_t; Y_0 = X_0 + N_0 = N_0
+    ky = k * y  # U_t, needed by the recursion only
     for t in range(1, T + 1):
-        u = sys.k * y[t - 1]  # U_{t-1}, needed by the recursion only
-        x[t] = sys.a * x[t - 1] + u
-        x[t, (T + 1) + (t - 1)] += 1.0  # M_{t-1}
-        x[t, (T + 1) + T + (t - 1)] += 1.0  # W_t
-        y[t] = x[t]
-        y[t, t] += 1.0  # N_t
-        pred = sys.a * xh[t - 1] + u
+        pred = a * xh[t - 1] + ky[t - 1]
         xh[t] = pred + gains[t - 1] * (y[t] - pred)
     return JointCovariance(T, (rows * var) @ rows.T)
 
@@ -199,6 +220,8 @@ def _mi(jc: JointCovariance, ia: Sequence[int], ib: Sequence[int],
     ``exact_directed_info``: log det taken from the interleaved pivots would
     make the conservation rows hold by construction.
     """
+    import numpy as np
+
     logdet = lambda idx, block: float(np.log(jc.pivots(idx, block)).sum())
     return 0.5 * (logdet(ia, name_a) + logdet(ib, name_b) - logdet([*ia, *ib], name_ab))
 
@@ -236,6 +259,8 @@ def exact_directed_info(jc: JointCovariance, target: str = "Y") -> DirectedInfor
     ``target="Xhat"`` the time-0 measurement is invisible to the filter and
     the split differs (see the module docstring).
     """
+    import numpy as np
+
     if target not in ("Y", "Xhat"):
         raise ValueError(f"target must be 'Y' or 'Xhat', got {target!r}")
     T = jc.horizon

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateMasks, HorizonTooShort, NonPositiveAlpha
 from .params import MaskParams, SystemParams, require_stable
 from .riccati import prediction_covariances, solve_are, steady_state_second_moment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -187,6 +189,8 @@ def finite_horizon_info(sys: SystemParams, masks: MaskParams, horizon: int) -> D
     Requires n > 0 and m + w > 0 (otherwise the sums are unbounded or the per-step
     terms degenerate).  ``forward/horizon`` converges to the ``mi_rate`` uplink flow.
     """
+    import numpy as np
+
     if horizon < 1:
         raise HorizonTooShort(f"horizon must be >= 1, got {horizon}")
     p = masks.m + sys.w

@@ -14,11 +14,13 @@ form; it is the fixed point of the filtering recursion that
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import NegativeVariance
 from .params import MaskParams, SystemParams, closed_loop_stable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MIN_NORMAL = float.fromhex("0x1p-1022")  # the smallest normal double
 
@@ -78,6 +80,8 @@ def gain_schedule(a: float, p: float, n: float, horizon: int) -> tuple:
     there and fills the rest with the repeating pair of steps, with the
     same bits as running to the end.
     """
+    import numpy as np
+
     if p < 0 or n < 0:
         raise NegativeVariance(f"p and n must be >= 0, got p={p}, n={n}")
     s_pred = np.empty(horizon)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from privmask import cli, design
+from privmask import cli, design, oracle
 from privmask.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
@@ -556,6 +556,64 @@ class TestLazySimulation:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    @staticmethod
+    def footprint(*argvs):
+        """Exit codes of ``main`` on ``argvs`` in a fresh interpreter, then whether numpy
+        and scipy were loaded; every layer module must be loaded by ``import privmask.cli``."""
+        code = textwrap.dedent(f"""
+            import contextlib, io, json, sys
+            import privmask, privmask.cli
+            privmask.cli.build_parser()
+            layers = ("params", "riccati", "rates", "design", "oracle")
+            assert all("privmask." + m in sys.modules for m in layers)
+            codes = []
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                for argv in {[list(argv) for argv in argvs]!r}:
+                    try:
+                        codes.append(privmask.cli.main(argv))
+                    except SystemExit as exc:
+                        codes.append(exc.code)
+            print(json.dumps([codes, "numpy" in sys.modules, "scipy" in sys.modules]))
+        """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_closed_form_commands_load_neither_numpy_nor_scipy(self):
+        codes, numpy_loaded, scipy_loaded = self.footprint(
+            ["analyze", "--a", "1", "--k", "-1"],
+            ["design", "--a", "0.5", "--k", "-0.4", "--lambda", "0,1"],
+            ["--version"], ["verify", "--help"],
+            ["analyze", "--a", "1", "--k", "-1", "--T", "1.5"])
+        assert codes == [0, 0, 0, 0, 2]
+        assert not numpy_loaded and not scipy_loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--a", "1", "--k", "-1", "--T", "5"],
+        ["grid", "--a", "1", "--k", "-1", "--m-range", "0:1:2", "--n-range", "0.1:1:2"],
+        ["alpha-sweep", "--a", "1", "--k", "-1", "--alpha-range", "0.1:10:3"],
+    ], ids=["verify", "grid", "alpha-sweep"])
+    def test_array_commands_load_numpy_only(self, argv):
+        assert self.footprint(argv) == [[0], True, False]
+
+    def test_simulate_loads_numpy_and_scipy(self):
+        argv = ["simulate", "--a", "0.5", "--k", "-0.4", "--T", "1200", "--trajectories", "2"]
+        assert self.footprint(argv) == [[0], True, True]
+
+    def test_overflow_in_the_first_array_command_warns_nothing(self):
+        # np.linspace overflows to nan here, and under -W error a warning would end in a traceback
+        argv = ["grid", "--a", "0.5", "--k", "-0.3", "--m-range=-1e308:1e308:3",
+                "--n-range", "0.1:0.2:1"]
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "privmask.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.splitlines() == [json.dumps(
+            {"error": "PrivmaskError", "message": "m must be finite, got nan"})]
+
+    def test_pivot_tolerance_is_numpys_epsilon(self):
+        assert oracle.PIVOT_RTOL == 10 * np.finfo(float).eps / oracle.CHECK_TOL
 
 
 class TestGoldenOutputs:

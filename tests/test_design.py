@@ -428,7 +428,7 @@ class TestTradeoff:
     def test_interior_points_sit_on_the_exact_bracket(self):
         # 100 plants as the certify workload draws them, 100 with |a| = 1 +- 10^U(-12, -1) and
         # 100 with |a| just below 1 and a small gain, which puts alpha* far above 1.  Of the
-        # 2,051 interior points, 1,825 (89%) are an end of the exact bracket and none is more
+        # 2,051 interior points, 1,827 (89%) are an end of the exact bracket and none is more
         # than 2 ulps past it (the derivative through the root s(alpha), in which a*a - 1
         # cancels, read 1,532 and up to 2,777 ulps)
         rng = np.random.default_rng(2311)
@@ -473,7 +473,7 @@ class TestTradeoff:
             assert 0.0 not in quartic_at and len(set(quartic_at)) == len(quartic_at)
             assert derivative_at[:2] == [design.TRADEOFF_LO_FACTOR * astar, astar]
             assert derivative_at.count(derivative_at[0]) == derivative_at.count(astar) == 1
-            # each point's bisection runs only at midpoints, never at the root it returns
+            # each point's Brent search evaluates no point twice, nor the ends it was handed
             for pt in points[1:]:
                 if not pt.at_boundary:
                     derivative_at.clear()

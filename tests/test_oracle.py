@@ -16,6 +16,7 @@ from privmask import (
     exact_directed_info,
     exact_mi,
     finite_horizon_info,
+    gain_schedule,
     joint_covariance,
     mi_rate,
 )
@@ -49,7 +50,40 @@ def labels_of(kind, horizon):
     return [f"{kind}_{t}" for t in range(kind != "Y", horizon + 1)]
 
 
+def stepwise_covariance(sys, masks, T):
+    """Reference covariance: every coefficient row built by the loop's own recursion, step by step."""
+    nb = (T + 1) + T + T
+    var = np.concatenate([np.full(T + 1, masks.n), np.full(T, masks.m), np.full(T, sys.w)])
+    _, gains = gain_schedule(sys.a, masks.m + sys.w, masks.n, T)
+    rows = np.zeros((3 * (T + 1), nb))
+    y, x, xh = rows.reshape(3, T + 1, nb)
+    y[0, 0] = 1.0
+    for t in range(1, T + 1):
+        u = sys.k * y[t - 1]
+        x[t] = sys.a * x[t - 1] + u
+        x[t, (T + 1) + (t - 1)] += 1.0  # M_{t-1}
+        x[t, (T + 1) + T + (t - 1)] += 1.0  # W_t
+        y[t] = x[t]
+        y[t, t] += 1.0  # N_t
+        pred = sys.a * xh[t - 1] + u
+        xh[t] = pred + gains[t - 1] * (y[t] - pred)
+    return (rows * var) @ rows.T
+
+
 class TestJointCovariance:
+    @pytest.mark.parametrize("horizon, plants", [(1, 40), (2, 40), (20, 40), (256, 4)])
+    def test_equals_the_stepwise_recursion_to_the_bit(self, horizon, plants):
+        # |a| up to 3, either sign of a and k, |a + k| <= 1.5, masks from 1e-150 to 1e150
+        rng = np.random.default_rng(horizon)
+        variance = lambda: 10.0 ** rng.uniform(-150, 150) if rng.random() < 0.3 else rng.uniform(0, 1)
+        for _ in range(plants):
+            a = rng.uniform(-3, 3)
+            k = rng.uniform(-1.5, 1.5) - a
+            sys = SystemParams(a=a, k=k, w=variance())
+            masks = MaskParams(m=variance(), n=variance())
+            cov = joint_covariance(sys, masks, horizon).cov
+            assert np.array_equal(cov, stepwise_covariance(sys, masks, horizon))
+
     def test_hand_values_one_step(self):
         jc = joint_covariance(ANCHOR, ANCHOR_MASKS, 1)
         expected = np.array([
